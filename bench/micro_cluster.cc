@@ -3,19 +3,17 @@
 //
 // For each (n, dim) configuration the bench clusters the same synthetic
 // dataset with HierarchicalClusterReference (the pre-acceleration oracle)
-// and HierarchicalCluster (heap + rep kd-tree + batched kernel), then
-// re-runs the accelerated path sharded over a BatchExecutor at each
-// requested worker count on the headline configuration. Every accelerated
-// run is checked against the reference: labels must match exactly and the
-// FNV-1a hash of the representative bytes (and centroid bytes) must be
-// identical — the two implementations promise bitwise-equal output, so any
-// mismatch is a correctness bug and the bench exits nonzero.
+// and HierarchicalCluster (heap + rep kd-tree + batched kernel). Every
+// accelerated run is checked against the reference: labels must match
+// exactly and the FNV-1a hash of the representative bytes (and centroid
+// bytes) must be identical — the two implementations promise bitwise-equal
+// output, so any mismatch is a correctness bug and the bench exits nonzero.
 //
 // Output: a table on stdout plus machine-readable JSON in the shape of
 // BENCH_micro_kde.json (BENCH_micro_cluster.json, override with out=).
 //
 //   micro_cluster [sizes=500,2000,8000] [dims=2,5] [reps=2]
-//                 [threads=2,4] [out=BENCH_micro_cluster.json]
+//                 [out=BENCH_micro_cluster.json]
 
 #include <chrono>
 #include <cstdint>
@@ -25,7 +23,6 @@
 
 #include "cluster/hierarchical.h"
 #include "data/point_set.h"
-#include "parallel/batch_executor.h"
 #include "tools/flags.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -38,7 +35,6 @@ struct SeriesResult {
   std::string series;
   int64_t n = 0;
   int dim = 0;
-  int threads = 0;  // 0 = no executor (plain sequential call)
   double seconds = 0.0;
   double merges_per_sec = 0.0;
   double speedup_vs_reference = 0.0;
@@ -140,9 +136,9 @@ bool ParseIntList(const std::string& spec, std::vector<int64_t>* out) {
 }
 
 void PrintRow(const SeriesResult& r) {
-  std::printf("%12s %7lld %4d %8d %10.4f %14.0f %9.2fx %10lld\n",
+  std::printf("%12s %7lld %4d %10.4f %14.0f %9.2fx %10lld\n",
               r.series.c_str(), static_cast<long long>(r.n), r.dim,
-              r.threads, r.seconds, r.merges_per_sec,
+              r.seconds, r.merges_per_sec,
               r.speedup_vs_reference, static_cast<long long>(r.mismatches));
 }
 
@@ -161,11 +157,11 @@ void WriteJson(const std::string& path, int reps,
     const SeriesResult& r = results[i];
     std::fprintf(f,
                  "    {\"series\": \"%s\", \"n\": %lld, \"dim\": %d, "
-                 "\"threads\": %d, \"seconds\": %.6f, "
+                 "\"seconds\": %.6f, "
                  "\"merges_per_sec\": %.1f, "
                  "\"speedup_vs_reference\": %.3f, \"mismatches\": %lld}%s\n",
                  r.series.c_str(), static_cast<long long>(r.n), r.dim,
-                 r.threads, r.seconds, r.merges_per_sec,
+                 r.seconds, r.merges_per_sec,
                  r.speedup_vs_reference,
                  static_cast<long long>(r.mismatches),
                  i + 1 < results.size() ? "," : "");
@@ -183,25 +179,20 @@ int main(int argc, char** argv) {
   std::string sizes_spec = flags.GetString("sizes", "500,2000,8000");
   std::string dims_spec = flags.GetString("dims", "2,5");
   int reps = static_cast<int>(flags.GetInt("reps", 2));
-  std::string threads_spec = flags.GetString("threads", "2,4");
   std::string out = flags.GetString("out", "BENCH_micro_cluster.json");
   if (!flags.AllKnown()) return 2;
   DBS_CHECK(reps > 0);
   std::vector<int64_t> sizes;
   std::vector<int64_t> dims;
-  std::vector<int64_t> thread_counts;
-  if (!ParseIntList(sizes_spec, &sizes) || !ParseIntList(dims_spec, &dims) ||
-      !ParseIntList(threads_spec, &thread_counts)) {
-    std::fprintf(stderr, "bad sizes=/dims=/threads= list\n");
+  if (!ParseIntList(sizes_spec, &sizes) || !ParseIntList(dims_spec, &dims)) {
+    std::fprintf(stderr, "bad sizes=/dims= list\n");
     return 2;
   }
-  const int64_t headline_n = sizes.back();
 
   std::printf("micro_cluster: best of %d reps, default options (k=10)\n\n",
               reps);
-  std::printf("%12s %7s %4s %8s %10s %14s %10s %10s\n", "series", "n",
-              "dim", "threads", "seconds", "merges_per_sec", "speedup",
-              "mismatch");
+  std::printf("%12s %7s %4s %10s %14s %10s %10s\n", "series", "n", "dim",
+              "seconds", "merges_per_sec", "speedup", "mismatch");
 
   std::vector<SeriesResult> results;
   for (int64_t dim64 : dims) {
@@ -211,13 +202,12 @@ int main(int argc, char** argv) {
           MakeData(n, dim, 0xc10c5ull + static_cast<uint64_t>(n + dim));
       dbs::cluster::HierarchicalOptions opts;  // paper defaults, k=10
 
-      auto add = [&](const std::string& series, int threads, double seconds,
+      auto add = [&](const std::string& series, double seconds,
                      double ref_seconds, int64_t mismatches) {
         SeriesResult r;
         r.series = series;
         r.n = n;
         r.dim = dim;
-        r.threads = threads;
         r.seconds = seconds;
         r.merges_per_sec = seconds > 0
                                ? static_cast<double>(n - opts.num_clusters) /
@@ -235,7 +225,7 @@ int main(int argc, char** argv) {
         DBS_CHECK(r.ok());
         ref = std::move(r).value();
       });
-      add("reference", 0, ref_seconds, ref_seconds, 0);
+      add("reference", ref_seconds, ref_seconds, 0);
 
       dbs::cluster::ClusteringResult got;
       double fast_seconds = TimeBest(reps, [&] {
@@ -243,28 +233,7 @@ int main(int argc, char** argv) {
         DBS_CHECK(r.ok());
         got = std::move(r).value();
       });
-      add("accelerated", 0, fast_seconds, ref_seconds,
-          CountMismatches(got, ref));
-
-      // Thread-scaling series on the headline configuration.
-      if (n == headline_n) {
-        for (int64_t threads : thread_counts) {
-          dbs::parallel::BatchExecutorOptions pool;
-          pool.num_workers = static_cast<int>(threads);
-          pool.queue_capacity = 4096;
-          dbs::parallel::BatchExecutor executor(pool);
-          dbs::cluster::HierarchicalOptions popts = opts;
-          popts.executor = &executor;
-          double seconds = TimeBest(reps, [&] {
-            auto r = dbs::cluster::HierarchicalCluster(ps, popts);
-            DBS_CHECK(r.ok());
-            got = std::move(r).value();
-          });
-          executor.Shutdown();
-          add("accelerated", static_cast<int>(threads), seconds,
-              ref_seconds, CountMismatches(got, ref));
-        }
-      }
+      add("accelerated", fast_seconds, ref_seconds, CountMismatches(got, ref));
     }
   }
 

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "density/kde.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/dispatch.h"
 #include "serve/model_registry.h"
@@ -76,10 +76,10 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   dbs::serve::ModelRegistry registry;
   DBS_CHECK(registry.Put("est", model, "kde").ok());
 
-  dbs::serve::BatchExecutorOptions pool;
+  dbs::parallel::BatchExecutorOptions pool;
   pool.num_workers = workers;
   pool.queue_capacity = 4096;
-  dbs::serve::BatchExecutor executor(pool);
+  dbs::parallel::BatchExecutor executor(pool);
   dbs::serve::ModelService service(&registry, &executor);
   auto server =
       dbs::serve::Server::Start(&service, dbs::serve::ServerOptions{});
@@ -284,9 +284,9 @@ int main(int argc, char** argv) {
   {
     dbs::serve::ModelRegistry registry;
     DBS_CHECK(registry.Put("est", model, "kde").ok());
-    dbs::serve::BatchExecutorOptions pool;
+    dbs::parallel::BatchExecutorOptions pool;
     pool.num_workers = 1;
-    dbs::serve::BatchExecutor executor(pool);
+    dbs::parallel::BatchExecutor executor(pool);
     dbs::serve::ModelService service(&registry, &executor);
     size_t consumed = 0;
     auto frame = dbs::serve::DecodeFrame(request_bytes.data(),

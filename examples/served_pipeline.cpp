@@ -19,7 +19,7 @@
 
 #include "density/kde.h"
 #include "density/kde_io.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
@@ -61,9 +61,9 @@ int main() {
 
   // 3. The serving stack. Port 0 picks an ephemeral loopback port.
   dbs::serve::ModelRegistry registry;
-  dbs::serve::BatchExecutorOptions pool;
+  dbs::parallel::BatchExecutorOptions pool;
   pool.num_workers = 4;
-  dbs::serve::BatchExecutor executor(pool);
+  dbs::parallel::BatchExecutor executor(pool);
   dbs::serve::ModelService service(&registry, &executor);
   auto server =
       dbs::serve::Server::Start(&service, dbs::serve::ServerOptions{});

@@ -22,9 +22,9 @@
 //  * a batched min-rep-distance kernel (MinRepDist2) that scores the merged
 //    cluster against every live candidate in one flat pass over contiguous
 //    representative rows — dimension-templated so the compiler unrolls and
-//    vectorizes the inner loop — optionally sharded over a
-//    parallel::BatchExecutor with shard results written to disjoint slots
-//    and reduced sequentially in index order.
+//    vectorizes the inner loop. It runs on the calling thread: sharding
+//    each merge's pass over an executor measured slower than sequential at
+//    2 and 4 workers (DESIGN.md §11).
 //
 // Bitwise equivalence is enforced by the frozen goldens in
 // tests/cluster_hierarchical_test.cc, the randomized oracle comparison in
@@ -43,7 +43,6 @@
 #include "cluster/hierarchical_internal.h"
 #include "data/distance.h"
 #include "data/kd_tree.h"
-#include "parallel/batch_executor.h"
 
 namespace dbs::cluster {
 namespace {
@@ -138,7 +137,7 @@ double ClusterDistance2(const Node& a, const Node& b, int dim) {
 // A nearest-cluster query is therefore exact at all times: tree hits cover
 // the fresh clusters, the dirty list covers the rest. Rebuild cadence is a
 // pure function of algorithm state (dirty/dead counts vs live), so runs
-// are deterministic at any worker count.
+// are deterministic.
 class RepIndex {
  public:
   RepIndex(int64_t num_nodes, int dim)
@@ -458,11 +457,10 @@ class RepIndex {
     }
 
     // Then score the merged cluster against every live candidate in one
-    // batched kernel pass (optionally sharded; shards fill disjoint slots
-    // of cand_d2, so the result is identical at any worker count), and
-    // sweep the scores in ascending index order: the sweep both selects
-    // u's new closest (strict <, so lowest index wins ties) and pushes the
-    // new u-distances into candidates that u moved closer to.
+    // batched kernel pass, and sweep the scores in ascending index order:
+    // the sweep both selects u's new closest (strict <, so lowest index
+    // wins ties) and pushes the new u-distances into candidates that u
+    // moved closer to.
     cands.clear();
     for (int32_t x = 0; x < static_cast<int32_t>(nodes.size()); ++x) {
       if (nodes[x].alive && x != u) cands.push_back(x);
@@ -471,41 +469,32 @@ class RepIndex {
     const int64_t a_count = a.reps.size();
     const double* a_cent = a.centroid.data();
     const double a_radius = rep_radius[static_cast<size_t>(u)];
-    auto score = [&](int64_t begin, int64_t end) {
-      for (int64_t t = begin; t < end; ++t) {
-        int32_t xi = cands[static_cast<size_t>(t)];
-        // Sqrt-free certified prune: c2 >= (sqrt(thr) + r_a + r_x)^2
-        // implies (with the stored inflated roots and the 1e-9 deflation)
-        // that the exact kernel value strictly exceeds x's closest_d2, so
-        // x provably cannot take a push-update and the kernel is skipped.
-        // The stored weak bound (closest_d2 itself, which the exact value
-        // strictly exceeds) lets the repair pass below restore u's own
-        // nearest exactly.
-        double c2 = 0.0;
-        for (int d = 0; d < dim; ++d) {
-          double diff = a_cent[d] - cent_flat[static_cast<size_t>(xi) * dim
-                                              + d];
-          c2 += diff * diff;
-        }
-        double rhs = thr_sqrt[static_cast<size_t>(xi)] + a_radius +
-                     rep_radius[static_cast<size_t>(xi)];
-        if (c2 * (1.0 - 1e-9) >= rhs * rhs) {
-          cand_d2[static_cast<size_t>(t)] =
-              closest_d2_flat[static_cast<size_t>(xi)];
-          pruned[static_cast<size_t>(t)] = 1;
-          continue;
-        }
-        pruned[static_cast<size_t>(t)] = 0;
-        const Node& x = nodes[xi];
-        cand_d2[static_cast<size_t>(t)] = MinRepDist2Dyn(
-            a_flat, a_count, x.reps.flat().data(), x.reps.size(), dim);
+    for (size_t t = 0; t < cands.size(); ++t) {
+      int32_t xi = cands[t];
+      // Sqrt-free certified prune: c2 >= (sqrt(thr) + r_a + r_x)^2
+      // implies (with the stored inflated roots and the 1e-9 deflation)
+      // that the exact kernel value strictly exceeds x's closest_d2, so
+      // x provably cannot take a push-update and the kernel is skipped.
+      // The stored weak bound (closest_d2 itself, which the exact value
+      // strictly exceeds) lets the repair pass below restore u's own
+      // nearest exactly.
+      double c2 = 0.0;
+      for (int d = 0; d < dim; ++d) {
+        double diff = a_cent[d] - cent_flat[static_cast<size_t>(xi) * dim
+                                            + d];
+        c2 += diff * diff;
       }
-    };
-    if (options.executor != nullptr) {
-      DBS_RETURN_IF_ERROR(options.executor->ParallelFor(
-          static_cast<int64_t>(cands.size()), score));
-    } else {
-      score(0, static_cast<int64_t>(cands.size()));
+      double rhs = thr_sqrt[static_cast<size_t>(xi)] + a_radius +
+                   rep_radius[static_cast<size_t>(xi)];
+      if (c2 * (1.0 - 1e-9) >= rhs * rhs) {
+        cand_d2[t] = closest_d2_flat[static_cast<size_t>(xi)];
+        pruned[t] = 1;
+        continue;
+      }
+      pruned[t] = 0;
+      const Node& x = nodes[xi];
+      cand_d2[t] = MinRepDist2Dyn(a_flat, a_count, x.reps.flat().data(),
+                                  x.reps.size(), dim);
     }
     int32_t a_closest = -1;
     double a_closest_d2 = kInf;

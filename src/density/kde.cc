@@ -26,7 +26,8 @@ uint64_t HashCell(const int64_t* cell, int dim) {
 }
 
 // Above this dimensionality the 3^d neighbor enumeration stops paying for
-// itself; evaluation falls back to the brute-force sum.
+// itself; batch evaluation uses the center tree and scalar evaluation the
+// brute-force sum.
 constexpr int kMaxIndexDim = 6;
 
 }  // namespace
@@ -300,21 +301,27 @@ int64_t Kde::GatherTile(const int64_t* base_cell, TileScratch* scratch)
                         cell_centers_.begin() + bucket_begin,
                         cell_centers_.begin() + bucket_end);
   }
-  const int64_t tile = static_cast<int64_t>(scratch->idx.size());
-  scratch->soa.resize(static_cast<size_t>(d) * tile);
+  GatherSoA(scratch->idx, &scratch->soa);
+  return static_cast<int64_t>(scratch->idx.size());
+}
+
+void Kde::GatherSoA(const std::vector<int32_t>& idx,
+                    std::vector<double>* soa) const {
+  const int d = dim();
+  const int64_t tile = static_cast<int64_t>(idx.size());
   const int64_t m = centers_.size();
+  soa->resize(static_cast<size_t>(d) * tile);
   for (int j = 0; j < d; ++j) {
-    double* col = scratch->soa.data() + static_cast<size_t>(j) * tile;
+    double* col = soa->data() + static_cast<size_t>(j) * tile;
     const double* src = centers_soa_.data() + static_cast<size_t>(j) * m;
-    for (int64_t t = 0; t < tile; ++t) col[t] = src[scratch->idx[t]];
+    for (int64_t t = 0; t < tile; ++t) col[t] = src[idx[t]];
   }
-  return tile;
 }
 
 double Kde::SumTile(const double* p, const double* soa, int64_t tile,
                     const double* exclude) const {
-  // The arithmetic lives in density/kernel_block.h so the dual-tree
-  // evaluator provably shares the frozen per-pair order (DESIGN.md §15).
+  // The arithmetic lives in density/kernel_block.h, the frozen per-pair
+  // order both batch paths share (DESIGN.md §9, §15).
   return SumKernelProductTile(kernel_, dim(), p, inv_bandwidths_.data(), soa,
                               tile, exclude);
 }
@@ -386,17 +393,26 @@ void Kde::BatchRangeIndexed(const double* rows, const double* selves,
   }
 }
 
-void Kde::BatchRangeBrute(const double* rows, const double* selves,
-                          int64_t begin, int64_t end, double* out) const {
+void Kde::BatchRangeTree(const double* rows, const double* selves,
+                         int64_t begin, int64_t end, double* out) const {
   const int d = dim();
-  const int64_t m = centers_.size();
-  for (int64_t i = begin; i < end; ++i) {
-    const double* p = rows + i * d;
-    const double sum =
-        SumTile(p, centers_soa_.data(), m,
-                selves != nullptr ? selves + i * d : nullptr);
-    out[i] = norm_factor_ * sum;
-  }
+  std::vector<double> soa;
+  center_tree_.ForEachTile(
+      kernel_, inv_bandwidths_.data(), rows, begin, end,
+      [&](const int64_t* queries, int64_t count,
+          const std::vector<int32_t>& survivors) {
+        // Survivors arrive in ascending center order, a superset of the
+        // in-support centers: the sum is EvaluateBrute's, bit for bit.
+        GatherSoA(survivors, &soa);
+        const int64_t tile = static_cast<int64_t>(survivors.size());
+        for (int64_t k = 0; k < count; ++k) {
+          const int64_t i = queries[k];
+          const double sum =
+              SumTile(rows + i * d, soa.data(), tile,
+                      selves != nullptr ? selves + i * d : nullptr);
+          out[i] = norm_factor_ * sum;
+        }
+      });
 }
 
 Status Kde::EvaluateBatch(const double* rows, int64_t count, double* out,
@@ -421,7 +437,7 @@ Status Kde::EvaluateExcludingSelvesBatch(
     if (indexed_) {
       BatchRangeIndexed(rows, selves, begin, end, out);
     } else {
-      BatchRangeBrute(rows, selves, begin, end, out);
+      BatchRangeTree(rows, selves, begin, end, out);
     }
   };
   if (executor != nullptr) return executor->ParallelFor(count, shard);
@@ -502,6 +518,8 @@ Result<Kde> Kde::FromState(State state, bool rebuild_index) {
   kde.BuildSoA();
   if (rebuild_index && dim <= kMaxIndexDim) {
     kde.BuildIndex();
+  } else {
+    kde.center_tree_ = CenterTree(kde.centers_);
   }
   return kde;
 }

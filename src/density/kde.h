@@ -27,6 +27,10 @@
 //     arrays) and runs a branch-light, auto-vectorizable product-kernel
 //     loop over it — bitwise identical to per-point Evaluate, per-point
 //     independent, and therefore shardable across executor workers.
+//
+// Without the grid index (dim > 6, or use_grid_index = false) the batch
+// paths run through a kd-tree over the centers instead (density/
+// center_tree.h, DESIGN.md §15), bitwise identical to EvaluateBrute.
 
 #ifndef DBS_DENSITY_KDE_H_
 #define DBS_DENSITY_KDE_H_
@@ -38,6 +42,7 @@
 #include "data/dataset.h"
 #include "data/point_set.h"
 #include "density/bandwidth.h"
+#include "density/center_tree.h"
 #include "density/density_estimator.h"
 #include "density/kernel.h"
 #include "util/shard.h"
@@ -63,12 +68,6 @@ struct KdeOptions {
   uint64_t seed = 1;
   // Build the compact-support grid index (identical results, faster eval).
   bool use_grid_index = true;
-  // Gate for the dual-tree evaluator's approximate mode (see
-  // density/dual_tree_kde.h — the fit itself is unaffected). 0 keeps the
-  // evaluator exact; > 0 lets it take a node's contribution interval
-  // midpoint once the interval is within this certified relative error
-  // budget. Consumed by DualTreeKde::Build(kde, fit_options).
-  double dual_tree_rel_error = 0.0;
 };
 
 class Kde final : public DensityEstimator {
@@ -164,6 +163,10 @@ class Kde final : public DensityEstimator {
   // Gathers the 3^d-neighborhood of `base_cell` into scratch (center
   // indices + SoA tile) in the canonical visit order; returns tile size.
   int64_t GatherTile(const int64_t* base_cell, TileScratch* scratch) const;
+  // Copies the centers `idx` names, in that order, into `soa` as dim
+  // column arrays of length idx.size().
+  void GatherSoA(const std::vector<int32_t>& idx,
+                 std::vector<double>* soa) const;
   // Ordered kernel-product sum of `p` against a SoA tile; `exclude` is the
   // coordinates of a center to skip (nullptr = none).
   double SumTile(const double* p, const double* soa, int64_t tile,
@@ -173,8 +176,8 @@ class Kde final : public DensityEstimator {
   // `rows` — point i excludes selves + i*dim.
   void BatchRangeIndexed(const double* rows, const double* selves,
                          int64_t begin, int64_t end, double* out) const;
-  void BatchRangeBrute(const double* rows, const double* selves,
-                       int64_t begin, int64_t end, double* out) const;
+  void BatchRangeTree(const double* rows, const double* selves,
+                      int64_t begin, int64_t end, double* out) const;
   // Kernel sum at p via the grid index, skipping centers whose coordinates
   // equal `exclude` (pass a default PointView to skip nothing).
   double SumIndexed(data::PointView p, data::PointView exclude) const;
@@ -206,8 +209,11 @@ class Kde final : public DensityEstimator {
   int num_neighbor_cells_ = 0;
   std::vector<int64_t> neighbor_offsets_;
   // centers_ transposed: dim arrays of length m (centers_soa_[j*m + i] =
-  // centers_[i][j]); the contiguous columns the batch inner loop streams.
+  // centers_[i][j]); the gather source of both batch paths.
   std::vector<double> centers_soa_;
+
+  // kd-tree over the centers: the batch path when indexed_ is false.
+  CenterTree center_tree_;
 };
 
 }  // namespace dbs::density

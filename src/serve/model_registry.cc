@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "density/dual_tree_kde.h"
 #include "density/kde.h"
 #include "density/kde_io.h"
 
@@ -43,20 +42,6 @@ Status ModelRegistry::LoadKdeFile(const std::string& name,
   if (!kde.ok()) return kde.status();
   auto model = std::make_shared<const density::Kde>(std::move(kde).value());
   return Put(name, std::move(model), "kde");
-}
-
-Status ModelRegistry::LoadKdeFileDualTree(const std::string& name,
-                                          const std::string& path,
-                                          double rel_error) {
-  auto kde = density::LoadKde(path);
-  if (!kde.ok()) return kde.status();
-  density::DualTreeKdeOptions options;
-  options.rel_error = rel_error;
-  auto tree = density::DualTreeKde::Build(kde.value(), options);
-  if (!tree.ok()) return tree.status();
-  auto model =
-      std::make_shared<const density::DualTreeKde>(std::move(tree).value());
-  return Put(name, std::move(model), "kde-dualtree");
 }
 
 Result<std::shared_ptr<const density::DensityEstimator>> ModelRegistry::Get(

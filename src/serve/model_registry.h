@@ -9,7 +9,7 @@
 // observes a half-replaced model.
 //
 // Registration is either programmatic (Put an estimator you built in
-// process — KDE, grid, histogram, anything implementing DensityEstimator)
+// process — KDE, grid, anything implementing DensityEstimator)
 // or from a saved .dbsk file (LoadKdeFile), which is the daemon's path:
 // one expensive fitting pass elsewhere, then every server re-reads the
 // tiny model file.
@@ -56,16 +56,6 @@ class ModelRegistry {
 
   // Loads a .dbsk KDE model from `path` and registers it under `name`.
   [[nodiscard]] Status LoadKdeFile(const std::string& name, const std::string& path);
-
-  // Like LoadKdeFile, but serves the model through the dual-tree evaluator
-  // (density/dual_tree_kde.h) instead of the flat grid index: exact (and
-  // bitwise identical to the ascending-center Kde path) when rel_error is
-  // 0, certified-approximate within `rel_error` otherwise. Registered under
-  // kind "kde-dualtree"; dispatch needs no changes — it is just another
-  // DensityEstimator.
-  [[nodiscard]] Status LoadKdeFileDualTree(const std::string& name,
-                                           const std::string& path,
-                                           double rel_error = 0.0);
 
   // Looks up a model by name. The returned pointer keeps the model alive
   // even if it is concurrently evicted or hot-swapped.

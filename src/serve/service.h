@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "density/kde_partial.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/model_registry.h"
 #include "serve/request.h"
 #include "util/status.h"
@@ -31,7 +31,7 @@ namespace dbs::serve {
 class ModelService {
  public:
   // Neither pointer is owned; both must outlive the service.
-  ModelService(ModelRegistry* registry, BatchExecutor* executor);
+  ModelService(ModelRegistry* registry, parallel::BatchExecutor* executor);
 
   ModelService(const ModelService&) = delete;
   ModelService& operator=(const ModelService&) = delete;
@@ -81,7 +81,7 @@ class ModelService {
               double latency_us);
 
   ModelRegistry* registry_;
-  BatchExecutor* executor_;
+  parallel::BatchExecutor* executor_;
 
   // Guards stats_ only; taken after all request work is done. Leaf lock,
   // never held across registry or executor calls.

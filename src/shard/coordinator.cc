@@ -91,10 +91,11 @@ Result<std::vector<Partial>> ShardCoordinator::RunShards(
     for (int64_t s = 0; s < num_shards; ++s) {
       tasks.push_back([&, s] {
         run_one(s);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          --remaining;
-        }
+        // Notify while holding mu: once the waiter can observe
+        // remaining == 0 it returns and destroys `done`, so a notify after
+        // unlocking could touch a dead condition variable.
+        std::lock_guard<std::mutex> lock(mu);
+        --remaining;
         done.notify_one();
       });
     }

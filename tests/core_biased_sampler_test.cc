@@ -7,7 +7,7 @@
 
 #include "core/tuning.h"
 #include "data/point_set.h"
-#include "density/histogram_density.h"
+#include "density/grid_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -280,12 +280,15 @@ TEST(BiasedSamplerTest, PassCountsMatchTheContract) {
 }
 
 TEST(BiasedSamplerTest, WorksWithHistogramEstimator) {
-  // The framework is estimator-agnostic (§2.1); swap in the histogram.
+  // The framework is estimator-agnostic (§2.1); swap in the histogram. A
+  // GridDensity whose 24^2 cells fit its bucket budget is addressed
+  // directly, i.e. it is the exact equi-width histogram.
   Workload w = MakeWorkload(5000, 5000, 0, 11);
-  density::HistogramDensityOptions hopts;
+  density::GridDensityOptions hopts;
   hopts.cells_per_dim = 24;
-  auto hd = density::HistogramDensity::Fit(w.points, hopts);
+  auto hd = density::GridDensity::Fit(w.points, hopts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   BiasedSamplerOptions opts;
   opts.a = 1.0;
   opts.target_size = 800;

@@ -15,7 +15,6 @@
 #include "core/biased_sampler.h"
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -68,18 +67,22 @@ std::unique_ptr<density::DensityEstimator> FitBackend(Backend backend,
       return std::make_unique<density::Kde>(std::move(kde).value());
     }
     case Backend::kHistogram: {
-      density::HistogramDensityOptions opts;
-      opts.cells_per_dim = 24;
-      auto hd = density::HistogramDensity::Fit(ps, opts);
-      DBS_CHECK(hd.ok());
-      return std::make_unique<density::HistogramDensity>(
-          std::move(hd).value());
-    }
-    case Backend::kGrid: {
+      // 24^2 cells fit the default bucket budget, so the grid is addressed
+      // directly: the exact equi-width histogram.
       density::GridDensityOptions opts;
       opts.cells_per_dim = 24;
+      auto hd = density::GridDensity::Fit(ps, opts);
+      DBS_CHECK(hd.ok() && !hd->hashed());
+      return std::make_unique<density::GridDensity>(std::move(hd).value());
+    }
+    case Backend::kGrid: {
+      // Palmer–Faloutsos configuration: 576 cells hashed into 128 buckets,
+      // so colliding cells merge their counts.
+      density::GridDensityOptions opts;
+      opts.cells_per_dim = 24;
+      opts.memory_budget_bytes = 128 * 8;
       auto gd = density::GridDensity::Fit(ps, opts);
-      DBS_CHECK(gd.ok());
+      DBS_CHECK(gd.ok() && gd->hashed());
       return std::make_unique<density::GridDensity>(std::move(gd).value());
     }
   }

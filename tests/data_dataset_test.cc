@@ -7,6 +7,7 @@
 
 #include "data/dataset_io.h"
 #include "data/point_set.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs::data {
@@ -22,10 +23,6 @@ PointSet MakeRandomPoints(int64_t n, int dim, uint64_t seed) {
     ps.Append(buf);
   }
   return ps;
-}
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
 }
 
 TEST(InMemoryScanTest, YieldsAllRowsAcrossBatches) {
@@ -91,7 +88,7 @@ TEST(ReadAllTest, RoundTrips) {
 
 TEST(DatasetIoTest, WriteReadRoundTrip) {
   PointSet ps = MakeRandomPoints(500, 3, 5);
-  std::string path = TempPath("roundtrip.dbsf");
+  std::string path = test::TestPath("roundtrip.dbsf");
   ASSERT_TRUE(WriteDatasetFile(path, ps).ok());
   auto loaded = ReadDatasetFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -105,7 +102,7 @@ TEST(DatasetIoTest, WriteReadRoundTrip) {
 
 TEST(DatasetIoTest, EmptyPointSetRoundTrips) {
   PointSet ps(2);
-  std::string path = TempPath("empty.dbsf");
+  std::string path = test::TestPath("empty.dbsf");
   ASSERT_TRUE(WriteDatasetFile(path, ps).ok());
   auto loaded = ReadDatasetFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -115,13 +112,13 @@ TEST(DatasetIoTest, EmptyPointSetRoundTrips) {
 }
 
 TEST(DatasetIoTest, MissingFileIsIoError) {
-  auto result = ReadDatasetFile(TempPath("does_not_exist.dbsf"));
+  auto result = ReadDatasetFile(test::TestPath("does_not_exist.dbsf"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbs::StatusCode::kIoError);
 }
 
 TEST(DatasetIoTest, GarbageFileIsRejected) {
-  std::string path = TempPath("garbage.dbsf");
+  std::string path = test::TestPath("garbage.dbsf");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[64] = "this is definitely not a dbsf file, not even close";
@@ -134,7 +131,7 @@ TEST(DatasetIoTest, GarbageFileIsRejected) {
 
 TEST(FileScanTest, StreamsInBatchesAndCountsPasses) {
   PointSet ps = MakeRandomPoints(1000, 2, 6);
-  std::string path = TempPath("scan.dbsf");
+  std::string path = test::TestPath("scan.dbsf");
   ASSERT_TRUE(WriteDatasetFile(path, ps).ok());
   auto scan_result = FileScan::Open(path, /*batch_rows=*/100);
   ASSERT_TRUE(scan_result.ok());
@@ -161,7 +158,7 @@ TEST(FileScanTest, StreamsInBatchesAndCountsPasses) {
 }
 
 TEST(FileScanTest, RejectsNonPositiveBatchRows) {
-  auto result = FileScan::Open(TempPath("whatever.dbsf"), 0);
+  auto result = FileScan::Open(test::TestPath("whatever.dbsf"), 0);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbs::StatusCode::kInvalidArgument);
 }

@@ -14,7 +14,6 @@
 #include "data/bounds.h"
 #include "data/point_set.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
@@ -216,17 +215,6 @@ TEST_P(DensityBatchTest, GridDensityMatchesScalarBitwise) {
   CheckEstimator(*grid, queries);
 }
 
-TEST_P(DensityBatchTest, HistogramDensityMatchesScalarBitwise) {
-  const int dim = GetParam();
-  data::PointSet data = MakeData(dim, 4000, 14);
-  data::PointSet queries = MakeQueries(data, 2000);
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 16;
-  auto hist = HistogramDensity::Fit(data, opts);
-  ASSERT_TRUE(hist.ok());
-  CheckEstimator(*hist, queries);
-}
-
 INSTANTIATE_TEST_SUITE_P(Dims, DensityBatchTest, ::testing::Values(2, 3, 5));
 
 TEST(DensityBatchEdgeTest, EmptyBatchSucceeds) {
@@ -266,10 +254,11 @@ TEST(DensityBatchEdgeTest, RoundTrippedKdeKeepsTheContract) {
   CheckEstimator(*restored, queries);
 }
 
-// Grid/Histogram cell-sorted overrides on the awkward inputs: queries far
-// outside the fitted bounds (both paths clamp to edge cells) and cells that
-// never saw a point (zero mass). Data is confined to [0, 0.25]^2 while the
-// grids are fitted over explicit [0, 1]^2 bounds, so most cells are empty.
+// The grid's cell-sorted overrides on the awkward inputs, directly
+// addressed (the exact histogram) and hashed: queries far outside the
+// fitted bounds (clamped to edge cells) and cells that never saw a point
+// (zero mass). Data is confined to [0, 0.25]^2 while the grids are fitted
+// over explicit [0, 1]^2 bounds, so most cells are empty.
 TEST(GridHistogramEdgeTest, OutOfBoundsAndZeroMassCellsMatchScalar) {
   data::BoundingBox bounds({0.0, 0.0}, {1.0, 1.0});
   data::PointSet data(2);
@@ -307,29 +296,19 @@ TEST(GridHistogramEdgeTest, OutOfBoundsAndZeroMassCellsMatchScalar) {
   ASSERT_TRUE(hashed->hashed());
   CheckEstimator(*hashed, queries);
 
-  HistogramDensityOptions hopts;
-  hopts.cells_per_dim = 8;
-  hopts.bounds = bounds;
-  auto hist = HistogramDensity::Fit(data, hopts);
-  ASSERT_TRUE(hist.ok());
-  CheckEstimator(*hist, queries);
-
-  // Semantic spot checks on the exact (collision-free) backends: a
-  // zero-mass cell evaluates to exactly +0.0, and out-of-bounds queries
-  // clamp onto edge cells — the top-right corner cell is empty while the
-  // bottom-left one holds data.
+  // Semantic spot checks on the exact (collision-free) grid: a zero-mass
+  // cell evaluates to exactly +0.0, and out-of-bounds queries clamp onto
+  // edge cells — the top-right corner cell is empty while the bottom-left
+  // one holds data.
   const double empty_cell[2] = {0.9, 0.9};
   const double far_out[2] = {7.0, 7.0};
   const double far_neg[2] = {-3.0, -3.0};
   const double occupied[2] = {0.1, 0.1};
-  EXPECT_EQ(hist->Evaluate(data::PointView(empty_cell, 2)), 0.0);
-  EXPECT_EQ(hist->Evaluate(data::PointView(far_out, 2)), 0.0);
-  EXPECT_EQ(hist->Evaluate(data::PointView(far_neg, 2)),
-            hist->Evaluate(data::PointView(occupied, 2)));
-  EXPECT_GT(hist->Evaluate(data::PointView(occupied, 2)), 0.0);
   EXPECT_EQ(grid->Evaluate(data::PointView(empty_cell, 2)), 0.0);
+  EXPECT_EQ(grid->Evaluate(data::PointView(far_out, 2)), 0.0);
   EXPECT_EQ(grid->Evaluate(data::PointView(far_neg, 2)),
             grid->Evaluate(data::PointView(occupied, 2)));
+  EXPECT_GT(grid->Evaluate(data::PointView(occupied, 2)), 0.0);
 }
 
 TEST(DensityBatchEdgeTest, MeanDensityPowMatchesAcrossExecutors) {

@@ -1,27 +1,27 @@
-// Equivalence harness for the dual-tree KDE evaluator's EXACT mode
-// (density/dual_tree_kde.h, DESIGN.md §15).
+// Equivalence harness for Kde's unindexed batch path: the dual traversal
+// of spatial query tiles against the kd-tree over the kernel centers
+// (density/center_tree.h, DESIGN.md §15).
 //
-// The contract under test: with rel_error == 0, every DualTreeKde
-// evaluation path is BITWISE identical to the ascending-center Kde paths —
-// the scalar EvaluateBrute and the batch paths of a model fitted with the
-// grid index off (which sum centers in ascending index order; the
-// grid-INDEXED path sums in hash-bucket order and agrees only to
-// rounding, so it is deliberately not the reference). The matrix covers
-// dims {1,2,3} x kernel counts {1, 1000, 50000} x workers {0,1,4}, plus
-// the degenerate shapes that break tree builds: all centers identical
-// (zero-extent boxes), one center per leaf, and queries far outside the
-// kernel support (all-pruned descents).
+// The contract under test: for a Kde without a grid index — dims above 6,
+// or use_grid_index = false — every batch entry point is BITWISE identical
+// to the scalar ascending-center paths, EvaluateBrute and
+// EvaluateExcluding, at any executor worker count. The matrix covers dims
+// {1,2,3,5} with the index switched off and dim 8 with the option at its
+// default, x kernel counts {1, 1000, 50000} x workers {0,1,4}, plus the
+// degenerate shapes that break tree builds: all centers identical
+// (zero-extent boxes) and queries far outside the kernel support
+// (all-pruned descents).
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
-#include "density/dual_tree_kde.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
@@ -75,20 +75,18 @@ data::PointSet MakeQueries(const data::PointSet& data, int64_t count) {
 }
 
 void ExpectBitwiseEqual(const std::vector<double>& got,
-                       const std::vector<double>& want) {
+                        const std::vector<double>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
-        << "index " << i << ": dual-tree " << got[i] << " vs reference "
+        << "index " << i << ": batch " << got[i] << " vs scalar "
         << want[i];
   }
 }
 
-// Full bitwise matrix for one (kde, tree) pair: all three batch variants,
-// the scalar brute path, and 0/1/4-worker sharding; plus the exact-mode
-// WithBound contract (same densities, certificates exactly zero).
-void CheckExactEquivalence(const Kde& kde, const DualTreeKde& tree,
-                           const data::PointSet& queries) {
+// Full bitwise matrix for one unindexed model: all three batch entry
+// points against the scalar ascending-center paths, at 0/1/4 workers.
+void CheckExactEquivalence(const Kde& kde, const data::PointSet& queries) {
   const int64_t n = queries.size();
   const double* rows = queries.flat().data();
 
@@ -96,60 +94,40 @@ void CheckExactEquivalence(const Kde& kde, const DualTreeKde& tree,
   for (int64_t i = 0; i < n; ++i) selves.Append(queries[(i + 1) % n]);
   const double* selves_rows = selves.flat().data();
 
-  // References: the ascending-center Kde batch paths (index off)...
+  // References: the scalar paths, which sum all m centers in ascending
+  // order without a tree.
   std::vector<double> ref(static_cast<size_t>(n));
   std::vector<double> ref_excl(static_cast<size_t>(n));
   std::vector<double> ref_selves(static_cast<size_t>(n));
-  ASSERT_TRUE(kde.EvaluateBatch(rows, n, ref.data()).ok());
-  ASSERT_TRUE(kde.EvaluateExcludingBatch(rows, n, ref_excl.data()).ok());
-  ASSERT_TRUE(kde.EvaluateExcludingSelvesBatch(rows, selves_rows, n,
-                                               ref_selves.data())
-                  .ok());
-  // ... which must themselves match the scalar brute path (sanity that the
-  // reference really is the ascending-order contract).
   for (int64_t i = 0; i < n; ++i) {
-    const double scalar = kde.EvaluateBrute(queries[i]);
+    ref[i] = kde.EvaluateBrute(queries[i]);
+    ref_excl[i] = kde.EvaluateExcluding(queries[i], queries[i]);
+    ref_selves[i] = kde.EvaluateExcluding(queries[i], selves[i]);
+    const double scalar = kde.Evaluate(queries[i]);
     ASSERT_EQ(std::memcmp(&scalar, &ref[i], sizeof(double)), 0) << i;
   }
 
-  // Scalar dual-tree entry points.
   std::vector<double> got(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) got[i] = tree.Evaluate(queries[i]);
-  ExpectBitwiseEqual(got, ref);
-  for (int64_t i = 0; i < n; ++i) {
-    got[i] = tree.EvaluateExcluding(queries[i], selves[i]);
-  }
-  ExpectBitwiseEqual(got, ref_selves);
-
-  // Batch paths across worker counts (0 = no executor).
   for (int workers : {0, 1, 4}) {
+    SCOPED_TRACE(workers);
     parallel::BatchExecutorOptions pool;
     pool.num_workers = workers;
+    pool.min_shard = 16;  // split even the small query sets into shards
     parallel::BatchExecutor* executor = nullptr;
     std::unique_ptr<parallel::BatchExecutor> owned;
     if (workers > 0) {
       owned = std::make_unique<parallel::BatchExecutor>(pool);
       executor = owned.get();
     }
-    ASSERT_TRUE(tree.EvaluateBatch(rows, n, got.data(), executor).ok());
+    ASSERT_TRUE(kde.EvaluateBatch(rows, n, got.data(), executor).ok());
     ExpectBitwiseEqual(got, ref);
     ASSERT_TRUE(
-        tree.EvaluateExcludingBatch(rows, n, got.data(), executor).ok());
+        kde.EvaluateExcludingBatch(rows, n, got.data(), executor).ok());
     ExpectBitwiseEqual(got, ref_excl);
-    ASSERT_TRUE(tree.EvaluateExcludingSelvesBatch(rows, selves_rows, n,
-                                                  got.data(), executor)
+    ASSERT_TRUE(kde.EvaluateExcludingSelvesBatch(rows, selves_rows, n,
+                                                 got.data(), executor)
                     .ok());
     ExpectBitwiseEqual(got, ref_selves);
-
-    // Exact mode's certificates: identical densities, bound == +0.0.
-    std::vector<double> bound(static_cast<size_t>(n), 1.0);
-    ASSERT_TRUE(
-        tree.EvaluateBatchWithBound(rows, n, got.data(), bound.data(),
-                                    executor)
-            .ok());
-    ExpectBitwiseEqual(got, ref);
-    for (int64_t i = 0; i < n; ++i) ASSERT_EQ(bound[i], 0.0) << i;
-
     if (owned != nullptr) owned->Shutdown();
   }
 }
@@ -159,12 +137,18 @@ struct MatrixCase {
   int64_t kernels;
 };
 
+// Without this gtest prints the raw bytes, padding included, and the
+// padding holds stale stack bytes: the test names would change per run.
+void PrintTo(const MatrixCase& c, std::ostream* os) {
+  *os << "dim" << c.dim << "_kernels" << c.kernels;
+}
+
 class DualTreeExactTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(DualTreeExactTest, BitwiseIdenticalToAscendingCenterKde) {
   const MatrixCase c = GetParam();
   // Enough data to fill the kernel reservoir, modest query counts at the
-  // 50k-kernel end (the brute reference is O(queries * kernels)).
+  // 50k-kernel end (the scalar reference is O(queries * kernels)).
   const int64_t points = std::max<int64_t>(c.kernels, 600);
   const int64_t num_queries = c.kernels >= 50000 ? 48 : 120;
   data::PointSet data = MakeData(c.dim, points, 11 + c.dim);
@@ -172,17 +156,15 @@ TEST_P(DualTreeExactTest, BitwiseIdenticalToAscendingCenterKde) {
 
   KdeOptions opts;
   opts.num_kernels = c.kernels;
-  opts.use_grid_index = false;  // the ascending-center reference order
+  // Above 6 dims no grid index is built whatever the option says, so the
+  // option stays at its default there; below, switching it off is the
+  // only route to the tree.
+  opts.use_grid_index = c.dim > 6;
   opts.seed = 7;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
   ASSERT_EQ(kde->num_kernels(), c.kernels);
-
-  auto tree = DualTreeKde::Build(*kde);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_EQ(tree->rel_error(), 0.0);
-  ASSERT_EQ(tree->num_kernels(), c.kernels);
-  CheckExactEquivalence(*kde, *tree, queries);
+  CheckExactEquivalence(*kde, queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,7 +173,10 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{1, 50000}, MatrixCase{2, 1},
                       MatrixCase{2, 1000}, MatrixCase{2, 50000},
                       MatrixCase{3, 1}, MatrixCase{3, 1000},
-                      MatrixCase{3, 50000}));
+                      MatrixCase{3, 50000}, MatrixCase{5, 1},
+                      MatrixCase{5, 1000}, MatrixCase{5, 50000},
+                      MatrixCase{8, 1}, MatrixCase{8, 1000},
+                      MatrixCase{8, 50000}));
 
 // All centers identical: every node box has zero extent, so the build must
 // bottom out in one oversized leaf instead of recursing forever, and the
@@ -208,8 +193,6 @@ TEST(DualTreeDegenerateTest, AllPointsIdentical) {
   opts.seed = 5;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
-  auto tree = DualTreeKde::Build(*kde);
-  ASSERT_TRUE(tree.ok());
 
   data::PointSet queries(dim);
   queries.Append(data::PointView(coords, dim));
@@ -217,32 +200,7 @@ TEST(DualTreeDegenerateTest, AllPointsIdentical) {
   queries.Append(data::PointView(near, dim));
   const double far[2] = {40.0, 40.0};
   queries.Append(data::PointView(far, dim));
-  CheckExactEquivalence(*kde, *tree, queries);
-}
-
-// leaf_size = 1: one center per leaf, the deepest possible tree.
-TEST(DualTreeDegenerateTest, OnePointPerLeaf) {
-  data::PointSet data = MakeData(2, 1200, 21);
-  data::PointSet queries = MakeQueries(data, 80);
-  KdeOptions opts;
-  opts.num_kernels = 400;
-  opts.use_grid_index = false;
-  opts.seed = 9;
-  auto kde = Kde::Fit(data, opts);
-  ASSERT_TRUE(kde.ok());
-
-  DualTreeKdeOptions tree_opts;
-  tree_opts.leaf_size = 1;
-  auto tree = DualTreeKde::Build(*kde, tree_opts);
-  ASSERT_TRUE(tree.ok());
-  // With leaf_size 1 every leaf holds exactly one center.
-  for (int32_t id = 0; id < tree->num_nodes(); ++id) {
-    DualTreeKde::NodeView node = tree->node(id);
-    if (node.is_leaf) {
-      ASSERT_EQ(node.end - node.begin, 1) << id;
-    }
-  }
-  CheckExactEquivalence(*kde, *tree, queries);
+  CheckExactEquivalence(*kde, queries);
 }
 
 // Queries entirely outside the kernel support: the whole tree prunes and
@@ -256,8 +214,6 @@ TEST(DualTreeDegenerateTest, QueriesFarOutsideSupport) {
   opts.seed = 13;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
-  auto tree = DualTreeKde::Build(*kde);
-  ASSERT_TRUE(tree.ok());
 
   data::PointSet queries(3);
   Rng rng(77);
@@ -268,38 +224,12 @@ TEST(DualTreeDegenerateTest, QueriesFarOutsideSupport) {
   }
   const int64_t n = queries.size();
   std::vector<double> got(static_cast<size_t>(n), -1.0);
-  ASSERT_TRUE(tree->EvaluateBatch(queries.flat().data(), n, got.data()).ok());
+  ASSERT_TRUE(kde->EvaluateBatch(queries.flat().data(), n, got.data()).ok());
   for (int64_t i = 0; i < n; ++i) {
     ASSERT_EQ(got[i], 0.0) << i;
     ASSERT_FALSE(std::signbit(got[i])) << i;  // +0.0, not -0.0
   }
-  CheckExactEquivalence(*kde, *tree, queries);
-}
-
-// Build-time validation: rejected options and the fit-options gate.
-TEST(DualTreeBuildTest, OptionValidationAndFitOptionsGate) {
-  data::PointSet data = MakeData(2, 400, 41);
-  KdeOptions opts;
-  opts.num_kernels = 64;
-  opts.use_grid_index = false;
-  opts.dual_tree_rel_error = 0.05;
-  auto kde = Kde::Fit(data, opts);
-  ASSERT_TRUE(kde.ok());
-
-  DualTreeKdeOptions bad;
-  bad.leaf_size = 0;
-  ASSERT_FALSE(DualTreeKde::Build(*kde, bad).ok());
-  bad = DualTreeKdeOptions{};
-  bad.query_tile = 0;
-  ASSERT_FALSE(DualTreeKde::Build(*kde, bad).ok());
-  bad = DualTreeKdeOptions{};
-  bad.rel_error = -0.1;
-  ASSERT_FALSE(DualTreeKde::Build(*kde, bad).ok());
-
-  // The KdeOptions overload picks up the approximate-mode gate.
-  auto gated = DualTreeKde::Build(*kde, opts);
-  ASSERT_TRUE(gated.ok());
-  ASSERT_EQ(gated->rel_error(), 0.05);
+  CheckExactEquivalence(*kde, queries);
 }
 
 }  // namespace

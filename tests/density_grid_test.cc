@@ -1,11 +1,11 @@
 #include "density/grid_density.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "density/histogram_density.h"
 #include "util/rng.h"
 
 namespace dbs::density {
@@ -83,11 +83,20 @@ TEST(GridDensityTest, MatchesExactHistogramWhenBudgetIsAmple) {
   auto gd = GridDensity::Fit(ps, gopts);
   ASSERT_TRUE(gd.ok());
 
-  HistogramDensityOptions hopts;
-  hopts.cells_per_dim = 16;
-  hopts.bounds = bounds;
-  auto hd = HistogramDensity::Fit(ps, hopts);
-  ASSERT_TRUE(hd.ok());
+  // The exact histogram by direct counting: the cell width 1/16 is a power
+  // of two, so floor(x * 16) is each coordinate's cell exactly.
+  auto cell_of = [](PointView p) {
+    int64_t cell = 0;
+    for (int j = 0; j < 2; ++j) {
+      const auto c = static_cast<int64_t>(std::floor(p[j] * 16.0));
+      cell = cell * 16 + std::clamp<int64_t>(c, 0, 15);
+    }
+    return cell;
+  };
+  std::vector<int64_t> exact(256, 0);
+  for (int64_t i = 0; i < ps.size(); ++i) {
+    ++exact[static_cast<size_t>(cell_of(ps[i]))];
+  }
 
   EXPECT_FALSE(gd->hashed());
   dbs::Rng rng(5);
@@ -95,7 +104,7 @@ TEST(GridDensityTest, MatchesExactHistogramWhenBudgetIsAmple) {
   for (int i = 0; i < probes; ++i) {
     double q[2] = {rng.NextDouble(), rng.NextDouble()};
     PointView p(q, 2);
-    EXPECT_EQ(gd->CellCount(p), hd->CellCount(p));
+    EXPECT_EQ(gd->CellCount(p), exact[static_cast<size_t>(cell_of(p))]);
   }
 }
 
@@ -156,66 +165,6 @@ TEST(GridDensityTest, ProvidedBoundsSkipDiscoveryPass) {
   auto gd2 = GridDensity::Fit(scan2, no_bounds);
   ASSERT_TRUE(gd2.ok());
   EXPECT_EQ(scan2.passes(), 2);
-}
-
-TEST(HistogramDensityTest, ExactCounts) {
-  // Values chosen away from bin boundaries (0.6/0.1 is not exactly 6 in
-  // binary floating point, so boundary values would bin unpredictably).
-  PointSet ps(1, {0.15, 0.25, 0.63, 0.61, 0.62, 0.99});
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 10;
-  opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
-  ASSERT_TRUE(hd.ok());
-  double q1 = 0.15;
-  double q6 = 0.65;
-  double q9 = 0.95;
-  double q3 = 0.35;
-  EXPECT_EQ(hd->CellCount(PointView(&q1, 1)), 1);
-  EXPECT_EQ(hd->CellCount(PointView(&q6, 1)), 3);
-  EXPECT_EQ(hd->CellCount(PointView(&q9, 1)), 1);
-  EXPECT_EQ(hd->CellCount(PointView(&q3, 1)), 0);
-  // Density = count / cell width.
-  EXPECT_DOUBLE_EQ(hd->Evaluate(PointView(&q6, 1)), 30.0);
-}
-
-TEST(HistogramDensityTest, RejectsExcessiveCells) {
-  PointSet ps = UniformCube(100, 5, 10);
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 1000;  // 10^15 cells
-  EXPECT_FALSE(HistogramDensity::Fit(ps, opts).ok());
-}
-
-TEST(HistogramDensityTest, IntegralIsN) {
-  PointSet ps = UniformCube(4000, 2, 11);
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 8;
-  opts.bounds = data::BoundingBox({0.0, 0.0}, {1.0, 1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
-  ASSERT_TRUE(hd.ok());
-  // Sum over a regular probe of cell centers: count/vol * vol per cell = n.
-  double integral = 0.0;
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      double q[2] = {(a + 0.5) / 8.0, (b + 0.5) / 8.0};
-      integral += hd->Evaluate(PointView(q, 2)) * hd->cell_volume();
-    }
-  }
-  EXPECT_NEAR(integral, 4000.0, 1e-6);
-}
-
-TEST(HistogramDensityTest, OutOfDomainPointsClampToEdgeCells) {
-  PointSet ps(1, {0.5});
-  HistogramDensityOptions opts;
-  opts.cells_per_dim = 4;
-  opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
-  ASSERT_TRUE(hd.ok());
-  double below = -5.0;
-  double above = 5.0;
-  // Clamped lookups do not crash and return edge-cell counts.
-  EXPECT_EQ(hd->CellCount(PointView(&below, 1)), 0);
-  EXPECT_EQ(hd->CellCount(PointView(&above, 1)), 0);
 }
 
 }  // namespace

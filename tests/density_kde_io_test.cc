@@ -8,6 +8,7 @@
 
 #include "core/biased_sampler.h"
 #include "data/point_set.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs::density {
@@ -15,10 +16,6 @@ namespace {
 
 using data::PointSet;
 using data::PointView;
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 PointSet ClusteredData(uint64_t seed) {
   Rng rng(seed);
@@ -47,7 +44,7 @@ TEST(KdeIoTest, RoundTripEvaluatesIdentically) {
   for (KernelType kernel :
        {KernelType::kEpanechnikov, KernelType::kGaussian}) {
     Kde original = FitExample(ps, kernel);
-    std::string path = TempPath("model.dbsk");
+    std::string path = test::TestPath("model.dbsk");
     ASSERT_TRUE(SaveKde(original, path).ok());
     auto loaded = LoadKde(path);
     ASSERT_TRUE(loaded.ok());
@@ -69,7 +66,7 @@ TEST(KdeIoTest, RoundTripEvaluatesIdentically) {
 TEST(KdeIoTest, LoadedModelDrivesTheSampler) {
   PointSet ps = ClusteredData(2);
   Kde original = FitExample(ps, KernelType::kEpanechnikov);
-  std::string path = TempPath("sampler_model.dbsk");
+  std::string path = test::TestPath("sampler_model.dbsk");
   ASSERT_TRUE(SaveKde(original, path).ok());
   auto loaded = LoadKde(path);
   ASSERT_TRUE(loaded.ok());
@@ -90,7 +87,7 @@ TEST(KdeIoTest, LoadedModelDrivesTheSampler) {
 TEST(KdeIoTest, IndexRebuildIsOptionalAndEquivalent) {
   PointSet ps = ClusteredData(3);
   Kde original = FitExample(ps, KernelType::kEpanechnikov);
-  std::string path = TempPath("noindex.dbsk");
+  std::string path = test::TestPath("noindex.dbsk");
   ASSERT_TRUE(SaveKde(original, path).ok());
   auto no_index = LoadKde(path, /*rebuild_index=*/false);
   ASSERT_TRUE(no_index.ok());
@@ -101,13 +98,13 @@ TEST(KdeIoTest, IndexRebuildIsOptionalAndEquivalent) {
 }
 
 TEST(KdeIoTest, MissingFileIsIoError) {
-  auto result = LoadKde(TempPath("no_such_model.dbsk"));
+  auto result = LoadKde(test::TestPath("no_such_model.dbsk"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), dbs::StatusCode::kIoError);
 }
 
 TEST(KdeIoTest, GarbageFileIsRejected) {
-  std::string path = TempPath("garbage.dbsk");
+  std::string path = test::TestPath("garbage.dbsk");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[64] = "model? what model? there is no model here at all";
@@ -121,7 +118,7 @@ TEST(KdeIoTest, GarbageFileIsRejected) {
 TEST(KdeIoTest, TruncatedFileIsIoError) {
   PointSet ps = ClusteredData(4);
   Kde original = FitExample(ps, KernelType::kEpanechnikov);
-  std::string path = TempPath("truncated.dbsk");
+  std::string path = test::TestPath("truncated.dbsk");
   ASSERT_TRUE(SaveKde(original, path).ok());
   // Chop the file in half.
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -1,6 +1,6 @@
 // Property sweeps for the KDE across kernel types, bandwidth rules, and
-// dimensionalities, plus the leave-one-out evaluation contract shared by
-// all three estimator backends.
+// dimensionalities, the leave-one-out evaluation contract shared by the
+// estimator backends, and the structure of Kde's center tree.
 
 #include <algorithm>
 #include <cmath>
@@ -12,9 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
-#include "density/dual_tree_kde.h"
+#include "density/center_tree.h"
 #include "density/grid_density.h"
-#include "density/histogram_density.h"
 #include "density/kde.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -150,12 +149,14 @@ TEST(LeaveOneOutTest, DefaultEstimatorInterfaceIsANoop) {
 }
 
 TEST(LeaveOneOutTest, HistogramDropsOneCount) {
+  // Ten cells fit the bucket budget: the grid is the exact histogram.
   PointSet ps(1, {0.15, 0.16, 0.85});
-  HistogramDensityOptions opts;
+  GridDensityOptions opts;
   opts.cells_per_dim = 10;
   opts.bounds = data::BoundingBox({0.0}, {1.0});
-  auto hd = HistogramDensity::Fit(ps, opts);
+  auto hd = GridDensity::Fit(ps, opts);
   ASSERT_TRUE(hd.ok());
+  ASSERT_FALSE(hd->hashed());
   // Cell of 0.15 holds two points; excluding self leaves one.
   EXPECT_DOUBLE_EQ(hd->Evaluate(ps[0]), 20.0);
   EXPECT_DOUBLE_EQ(hd->EvaluateExcluding(ps[0], ps[0]), 10.0);
@@ -196,19 +197,19 @@ TEST(KdeSeedSweepTest, CenterSamplingIsUnbiasedAcrossSeeds) {
   EXPECT_NEAR(means.mean(), static_cast<double>(n), 0.1 * n);
 }
 
-// Structural invariants of the dual-tree evaluator's kd-tree, checked via
-// the test-only introspection hooks (DualTreeKde::NodeView): the leaf-item
-// array is a permutation of [0, m), leaves partition it into disjoint
-// ascending runs, every interior node's children exactly partition its
-// range, and every node's box contains all the centers in its subtree.
+// Structural invariants of the kd-tree Kde evaluates unindexed batches
+// through (density/center_tree.h), checked via its test hook
+// (CenterTree::NodeView): the leaf-item array is a permutation of [0, m),
+// leaves partition it into disjoint ascending runs of at most kLeafSize,
+// every interior node's children exactly partition its range, and every
+// node's box contains all the centers in its subtree.
 TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
   struct Shape {
     int dim;
     int64_t kernels;
-    int leaf_size;
   };
-  const Shape kShapes[] = {{1, 37, 4}, {2, 200, 1}, {3, 500, 32},
-                           {4, 64, 64}, {2, 1, 8}};
+  const Shape kShapes[] = {{1, 37}, {2, 200}, {3, 500}, {4, 64}, {2, 1},
+                           {8, 1000}};
   for (const Shape& shape : kShapes) {
     PointSet ps = UniformCube(std::max<int64_t>(shape.kernels * 3, 200),
                               shape.dim, 17 + shape.dim);
@@ -218,13 +219,10 @@ TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
     opts.seed = 23;
     auto kde = Kde::Fit(ps, opts);
     ASSERT_TRUE(kde.ok());
-    DualTreeKdeOptions tree_opts;
-    tree_opts.leaf_size = shape.leaf_size;
-    auto tree = DualTreeKde::Build(*kde, tree_opts);
-    ASSERT_TRUE(tree.ok());
+    const CenterTree tree(kde->centers());
 
-    const int64_t m = tree->num_kernels();
-    const std::vector<int32_t>& items = tree->leaf_items();
+    const int64_t m = kde->num_kernels();
+    const std::vector<int32_t>& items = tree.leaf_items();
     ASSERT_EQ(static_cast<int64_t>(items.size()), m);
 
     // The item array is a permutation: every kernel appears exactly once.
@@ -236,33 +234,33 @@ TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
     }
     for (int64_t i = 0; i < m; ++i) ASSERT_EQ(seen[static_cast<size_t>(i)], 1);
 
-    const int32_t root = tree->root();
+    const int32_t root = tree.root();
     ASSERT_GE(root, 0);
     {
-      DualTreeKde::NodeView root_view = tree->node(root);
+      CenterTree::NodeView root_view = tree.node(root);
       ASSERT_EQ(root_view.begin, 0);
       ASSERT_EQ(static_cast<int64_t>(root_view.end), m);
     }
 
     // Walk the whole tree: child ranges partition the parent, leaf runs
-    // are ascending and at most leaf_size long (unless degenerate), and
-    // each node's box contains its members.
+    // are ascending and at most kLeafSize long, and each node's box
+    // contains its members.
     int64_t leaf_members = 0;
     std::vector<int32_t> stack = {root};
     while (!stack.empty()) {
       const int32_t id = stack.back();
       stack.pop_back();
-      DualTreeKde::NodeView node = tree->node(id);
+      CenterTree::NodeView node = tree.node(id);
       ASSERT_LT(node.begin, node.end);
       for (int32_t t = node.begin; t < node.end; ++t) {
-        data::PointView c = tree->centers()[items[static_cast<size_t>(t)]];
+        data::PointView c = kde->centers()[items[static_cast<size_t>(t)]];
         for (int j = 0; j < shape.dim; ++j) {
           ASSERT_GE(c[j], node.lo[j]) << "node " << id;
           ASSERT_LE(c[j], node.hi[j]) << "node " << id;
         }
       }
       if (node.is_leaf) {
-        ASSERT_LE(node.end - node.begin, shape.leaf_size);
+        ASSERT_LE(node.end - node.begin, CenterTree::kLeafSize);
         for (int32_t t = node.begin + 1; t < node.end; ++t) {
           ASSERT_LT(items[static_cast<size_t>(t - 1)],
                     items[static_cast<size_t>(t)]);
@@ -270,8 +268,8 @@ TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
         leaf_members += node.end - node.begin;
         continue;
       }
-      DualTreeKde::NodeView left = tree->node(node.left);
-      DualTreeKde::NodeView right = tree->node(node.right);
+      CenterTree::NodeView left = tree.node(node.left);
+      CenterTree::NodeView right = tree.node(node.right);
       ASSERT_EQ(left.begin, node.begin);
       ASSERT_EQ(left.end, right.begin);
       ASSERT_EQ(right.end, node.end);

@@ -30,6 +30,7 @@
 #include "synth/generator.h"
 #include "synth/geo.h"
 #include "synth/outlier_planting.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -194,7 +195,7 @@ TEST(IntegrationTest, OutOfCorePipelineViaDatasetFile) {
   // FileScan, normalize and sample on the same FileScan, never holding the
   // dataset in memory. Exactly 3 passes total (fit + normalize + sample).
   synth::ClusteredDataset ds = MakeNoisy(0.2, 1.0, 23);
-  std::string path = std::string(::testing::TempDir()) + "/pipeline.dbsf";
+  std::string path = test::TestPath("pipeline.dbsf");
   ASSERT_TRUE(data::WriteDatasetFile(path, ds.points).ok());
 
   auto scan_result = data::FileScan::Open(path, 1000);

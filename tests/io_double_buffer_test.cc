@@ -16,15 +16,12 @@
 
 #include "data/dataset.h"
 #include "data/dataset_io.h"
+#include "tests/test_paths.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace dbs::data {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 void WriteBytes(const std::string& path,
                 const std::vector<unsigned char>& bytes) {
@@ -77,7 +74,7 @@ TEST(DoubleBufferScanTest, ByteIdenticalToSyncScanAcrossChunkBoundaries) {
   for (int64_t rows : {int64_t{0}, int64_t{1}, chunk - 1, chunk, chunk + 1,
                        3 * chunk, 3 * chunk + 5}) {
     SCOPED_TRACE(::testing::Message() << "rows=" << rows);
-    const std::string path = TempPath("double_buffer.dbsf");
+    const std::string path = test::TestPath("double_buffer.dbsf");
     PointSet points = MakePoints(dim, rows, 77 + static_cast<uint64_t>(rows));
     ASSERT_TRUE(WriteDatasetFile(path, points).ok());
 
@@ -113,7 +110,7 @@ TEST(DoubleBufferScanTest, ByteIdenticalToSyncScanAcrossChunkBoundaries) {
 }
 
 TEST(DoubleBufferScanTest, MultiPassResetRereadsIdenticalBytes) {
-  const std::string path = TempPath("double_buffer_multipass.dbsf");
+  const std::string path = test::TestPath("double_buffer_multipass.dbsf");
   PointSet points = MakePoints(2, 41, 9);
   ASSERT_TRUE(WriteDatasetFile(path, points).ok());
   auto scan = FileScan::Open(path, 7, /*double_buffered=*/true);
@@ -136,7 +133,7 @@ TEST(DoubleBufferScanTest, ResetMidScanDiscardsInFlightPrefetch) {
   // Reset while a prefetched chunk is pending must drain the in-flight
   // fill, rewind, and restart cleanly — the classic hang/race shape for a
   // producer-consumer scan.
-  const std::string path = TempPath("double_buffer_reset.dbsf");
+  const std::string path = test::TestPath("double_buffer_reset.dbsf");
   PointSet points = MakePoints(2, 30, 13);
   ASSERT_TRUE(WriteDatasetFile(path, points).ok());
   auto scan = FileScan::Open(path, 4, /*double_buffered=*/true);
@@ -166,7 +163,7 @@ TEST(DoubleBufferScanTest, ResetMidScanDiscardsInFlightPrefetch) {
 // the scan object must destruct promptly (no hung thread) whether or not
 // batches were consumed.
 TEST(DoubleBufferScanTest, MalformedFilesSurfaceSameStatusAsSyncMode) {
-  const std::string path = TempPath("double_buffer_negative.dbsf");
+  const std::string path = test::TestPath("double_buffer_negative.dbsf");
 
   // Empty and tiny files.
   for (size_t size : {0u, 1u, 8u, 31u}) {
@@ -227,7 +224,7 @@ TEST(DoubleBufferScanTest, MalformedFilesSurfaceSameStatusAsSyncMode) {
 // first prefetch succeed: the scan must still be destructible without
 // consuming everything (the in-flight fill drains on shutdown).
 TEST(DoubleBufferScanTest, DestructionWithUnconsumedPrefetchDoesNotHang) {
-  const std::string path = TempPath("double_buffer_abandon.dbsf");
+  const std::string path = test::TestPath("double_buffer_abandon.dbsf");
   PointSet points = MakePoints(2, 64, 3);
   ASSERT_TRUE(WriteDatasetFile(path, points).ok());
   for (int consume : {0, 1, 3}) {

@@ -16,16 +16,13 @@
 
 #include "data/dataset_io.h"
 #include "serve/wire.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
 
 using namespace dbs::serve;  // NOLINT: test-local brevity
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 void WriteBytes(const std::string& path,
                 const std::vector<unsigned char>& bytes) {
@@ -49,7 +46,7 @@ std::vector<unsigned char> DbsfHeader(uint32_t magic, uint32_t version,
 }
 
 TEST(DatasetNegativeTest, EmptyAndTinyFilesAreRejected) {
-  const std::string path = TempPath("neg_empty.dbsf");
+  const std::string path = test::TestPath("neg_empty.dbsf");
   for (size_t size : {0u, 1u, 8u, 31u}) {
     WriteBytes(path, std::vector<unsigned char>(size, 0x5a));
     EXPECT_FALSE(data::ReadDatasetFile(path).ok()) << "size=" << size;
@@ -58,7 +55,7 @@ TEST(DatasetNegativeTest, EmptyAndTinyFilesAreRejected) {
 }
 
 TEST(DatasetNegativeTest, GarbageBytesAreRejected) {
-  const std::string path = TempPath("neg_garbage.dbsf");
+  const std::string path = test::TestPath("neg_garbage.dbsf");
   Rng rng(21);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<unsigned char> bytes(
@@ -78,7 +75,7 @@ TEST(DatasetNegativeTest, GarbageBytesAreRejected) {
 }
 
 TEST(DatasetNegativeTest, HeaderFieldBoundsAreEnforced) {
-  const std::string path = TempPath("neg_header.dbsf");
+  const std::string path = test::TestPath("neg_header.dbsf");
   struct Case {
     const char* what;
     uint32_t magic;
@@ -105,7 +102,7 @@ TEST(DatasetNegativeTest, HeaderFieldBoundsAreEnforced) {
 }
 
 TEST(DatasetNegativeTest, PayloadShorterThanPromisedIsRejected) {
-  const std::string path = TempPath("neg_short.dbsf");
+  const std::string path = test::TestPath("neg_short.dbsf");
   // Header promises 4 rows of dim 2 (64 payload bytes); provide 0..63.
   for (size_t payload : {0u, 1u, 15u, 16u, 63u}) {
     std::vector<unsigned char> bytes =

@@ -13,14 +13,11 @@
 #include "data/dataset_io.h"
 #include "density/kde.h"
 #include "density/kde_io.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
-
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 std::vector<unsigned char> ReadFileBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -57,12 +54,12 @@ data::PointSet SmallDataset() {
 
 TEST(IoRobustnessTest, DatasetFileSurvivesByteFlips) {
   data::PointSet ps = SmallDataset();
-  std::string clean = TempPath("clean.dbsf");
+  std::string clean = test::TestPath("clean.dbsf");
   ASSERT_TRUE(data::WriteDatasetFile(clean, ps).ok());
   std::vector<unsigned char> original = ReadFileBytes(clean);
 
   Rng rng(7);
-  std::string corrupt = TempPath("corrupt.dbsf");
+  std::string corrupt = test::TestPath("corrupt.dbsf");
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<unsigned char> bytes = original;
     // Flip 1-4 bytes anywhere in the file.
@@ -86,10 +83,10 @@ TEST(IoRobustnessTest, DatasetFileSurvivesByteFlips) {
 
 TEST(IoRobustnessTest, DatasetFileSurvivesTruncations) {
   data::PointSet ps = SmallDataset();
-  std::string clean = TempPath("clean2.dbsf");
+  std::string clean = test::TestPath("clean2.dbsf");
   ASSERT_TRUE(data::WriteDatasetFile(clean, ps).ok());
   std::vector<unsigned char> original = ReadFileBytes(clean);
-  std::string corrupt = TempPath("trunc.dbsf");
+  std::string corrupt = test::TestPath("trunc.dbsf");
   for (size_t keep : {0UL, 1UL, 16UL, 31UL, 32UL, 33UL, 100UL,
                       original.size() - 1}) {
     std::vector<unsigned char> bytes(original.begin(),
@@ -111,12 +108,12 @@ TEST(IoRobustnessTest, KdeModelSurvivesByteFlips) {
   opts.num_kernels = 50;
   auto kde = density::Kde::Fit(ps, opts);
   ASSERT_TRUE(kde.ok());
-  std::string clean = TempPath("clean.dbsk");
+  std::string clean = test::TestPath("clean.dbsk");
   ASSERT_TRUE(density::SaveKde(*kde, clean).ok());
   std::vector<unsigned char> original = ReadFileBytes(clean);
 
   Rng rng(11);
-  std::string corrupt = TempPath("corrupt.dbsk");
+  std::string corrupt = test::TestPath("corrupt.dbsk");
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<unsigned char> bytes = original;
     int flips = 1 + static_cast<int>(rng.NextBounded(4));

@@ -18,11 +18,12 @@
 #include "density/kde.h"
 #include "density/kde_io.h"
 #include "outlier/ball_integration.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -51,7 +52,7 @@ data::PointSet MakePoints(uint64_t seed, int64_t n) {
 class ServeE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    model_path_ = std::string(::testing::TempDir()) + "/serve_e2e.dbsk";
+    model_path_ = test::TestPath("serve_e2e.dbsk");
     density::KdeOptions options;
     options.num_kernels = 64;
     options.seed = 7;
@@ -64,10 +65,10 @@ class ServeE2eTest : public ::testing::Test {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     reference_ = std::make_unique<density::Kde>(std::move(loaded).value());
 
-    serve::BatchExecutorOptions pool;
+    parallel::BatchExecutorOptions pool;
     pool.num_workers = 4;
     pool.queue_capacity = 1024;
-    executor_ = std::make_unique<serve::BatchExecutor>(pool);
+    executor_ = std::make_unique<parallel::BatchExecutor>(pool);
     service_ =
         std::make_unique<serve::ModelService>(&registry_, executor_.get());
     auto server = serve::Server::Start(service_.get(), serve::ServerOptions{});
@@ -90,7 +91,7 @@ class ServeE2eTest : public ::testing::Test {
   std::string model_path_;
   std::unique_ptr<density::Kde> reference_;
   serve::ModelRegistry registry_;
-  std::unique_ptr<serve::BatchExecutor> executor_;
+  std::unique_ptr<parallel::BatchExecutor> executor_;
   std::unique_ptr<serve::ModelService> service_;
   std::unique_ptr<serve::Server> server_;
 };

@@ -11,13 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 
 namespace dbs {
 namespace {
 
-using serve::BatchExecutor;
-using serve::BatchExecutorOptions;
+using parallel::BatchExecutor;
+using parallel::BatchExecutorOptions;
 
 BatchExecutorOptions SmallPool(int workers, int64_t capacity) {
   BatchExecutorOptions options;

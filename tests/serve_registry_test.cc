@@ -5,7 +5,6 @@
 // label).
 
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "density/kde.h"
 #include "density/kde_io.h"
 #include "serve/model_registry.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -82,7 +82,7 @@ TEST(ModelRegistryTest, ListReportsGenerations) {
 }
 
 TEST(ModelRegistryTest, LoadKdeFileRoundTrips) {
-  std::string path = std::string(::testing::TempDir()) + "/registry.dbsk";
+  std::string path = test::TestPath("registry.dbsk");
   auto fitted = FitModel(7);
   ASSERT_TRUE(density::SaveKde(*fitted, path).ok());
 
@@ -93,47 +93,6 @@ TEST(ModelRegistryTest, LoadKdeFileRoundTrips) {
   double probe[2] = {0.25, 0.75};
   data::PointView view(probe, 2);
   EXPECT_EQ((*loaded)->Evaluate(view), fitted->Evaluate(view));
-  std::remove(path.c_str());
-}
-
-// The dual-tree registration path serves the same model bytes through the
-// tree evaluator: exact mode answers every query bitwise identically to
-// the brute ascending-center path, approximate mode registers under the
-// same dispatch surface with its own kind tag.
-TEST(ModelRegistryTest, LoadKdeFileDualTreeServesExactAndApprox) {
-  std::string path = std::string(::testing::TempDir()) + "/registry_dt.dbsk";
-  auto fitted = FitModel(7);
-  ASSERT_TRUE(density::SaveKde(*fitted, path).ok());
-
-  serve::ModelRegistry registry;
-  ASSERT_TRUE(registry.LoadKdeFileDualTree("exact", path).ok());
-  ASSERT_TRUE(registry.LoadKdeFileDualTree("approx", path, 0.05).ok());
-  EXPECT_EQ(registry.LoadKdeFileDualTree("bad", path, -1.0).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.LoadKdeFileDualTree("m", "/no/such/file.dbsk").code(),
-            StatusCode::kIoError);
-
-  auto entries = registry.List();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].name, "approx");
-  EXPECT_EQ(entries[0].kind, "kde-dualtree");
-  EXPECT_EQ(entries[1].kind, "kde-dualtree");
-
-  auto exact = registry.Get("exact");
-  ASSERT_TRUE(exact.ok());
-  auto approx = registry.Get("approx");
-  ASSERT_TRUE(approx.ok());
-  // The dual tree promises bitwise identity to the ascending-center brute
-  // sum — compare against EvaluateBrute on the original model, and bound
-  // the approximate backend by its budget.
-  Rng rng(41);
-  for (int i = 0; i < 50; ++i) {
-    double probe[2] = {rng.NextDouble(-0.2, 1.2), rng.NextDouble(-0.2, 1.2)};
-    data::PointView view(probe, 2);
-    const double want = fitted->EvaluateBrute(view);
-    EXPECT_EQ((*exact)->Evaluate(view), want) << i;
-    EXPECT_LE(std::fabs((*approx)->Evaluate(view) - want), 0.05 * want) << i;
-  }
   std::remove(path.c_str());
 }
 

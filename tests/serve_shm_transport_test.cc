@@ -18,11 +18,12 @@
 
 #include "density/kde.h"
 #include "density/kde_io.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
@@ -49,7 +50,7 @@ class ServeShmTransportTest : public ::testing::Test {
   void SetUp() override { StartServer(/*enable_shm=*/true); }
 
   void StartServer(bool enable_shm) {
-    model_path_ = std::string(::testing::TempDir()) + "/serve_shm.dbsk";
+    model_path_ = test::TestPath("serve_shm.dbsk");
     density::KdeOptions options;
     options.num_kernels = 32;
     options.seed = 7;
@@ -57,10 +58,10 @@ class ServeShmTransportTest : public ::testing::Test {
     ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
     ASSERT_TRUE(density::SaveKde(*fitted, model_path_).ok());
 
-    serve::BatchExecutorOptions pool;
+    parallel::BatchExecutorOptions pool;
     pool.num_workers = 2;
     pool.queue_capacity = 1024;
-    executor_ = std::make_unique<serve::BatchExecutor>(pool);
+    executor_ = std::make_unique<parallel::BatchExecutor>(pool);
     service_ =
         std::make_unique<serve::ModelService>(&registry_, executor_.get());
     serve::ServerOptions server_options;
@@ -156,7 +157,7 @@ class ServeShmTransportTest : public ::testing::Test {
 
   std::string model_path_;
   serve::ModelRegistry registry_;
-  std::unique_ptr<serve::BatchExecutor> executor_;
+  std::unique_ptr<parallel::BatchExecutor> executor_;
   std::unique_ptr<serve::ModelService> service_;
   std::unique_ptr<serve::Server> server_;
 };

@@ -179,6 +179,29 @@ TEST_F(ShardEquivalenceTest, WorkerCountNeverChangesBytes) {
   }
 }
 
+// Many back-to-back fan-outs on one pool: each round's waiter returns and
+// destroys its completion latch as soon as the last shard reports, which
+// is where a worker still touching the latch would race (the TSan job runs
+// this test under the shard label).
+TEST_F(ShardEquivalenceTest, RepeatedFanOutRoundsOnAFourWorkerPool) {
+  std::vector<density::Kde> references;
+  for (int64_t shards = 2; shards <= 4; ++shards) {
+    auto kde = MakeCoordinator(shards).BuildKde(KdeOpts());
+    ASSERT_TRUE(kde.ok());
+    references.push_back(std::move(*kde));
+  }
+  parallel::BatchExecutorOptions pool;
+  pool.num_workers = 4;
+  parallel::BatchExecutor executor(pool);
+  for (int round = 0; round < 600; ++round) {
+    const int64_t shards = 2 + round % 3;
+    auto kde = MakeCoordinator(shards, &executor).BuildKde(KdeOpts());
+    ASSERT_TRUE(kde.ok()) << kde.status().ToString();
+    ExpectSameModel(*kde, references[static_cast<size_t>(shards - 2)]);
+  }
+  executor.Shutdown();
+}
+
 TEST_F(ShardEquivalenceTest, ShardCountClampsToDatasetSize) {
   // More shards than rows must still build (empty shards are valid).
   data::PointSet tiny(2);

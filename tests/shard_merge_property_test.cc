@@ -18,6 +18,7 @@
 #include "density/kde_io.h"
 #include "density/kde_partial.h"
 #include "synth/generator.h"
+#include "tests/test_paths.h"
 #include "util/shard.h"
 
 namespace dbs {
@@ -191,8 +192,7 @@ TEST(ShardMergePropertyTest, MergedModelRoundTripsThroughStateAndDisk) {
   auto rebuilt = density::Kde::FromState(kde->ExportState());
   ASSERT_TRUE(rebuilt.ok());
   // SaveKde -> LoadKde.
-  const std::string path =
-      ::testing::TempDir() + "shard_merge_roundtrip.dbsk";
+  const std::string path = test::TestPath("shard_merge_roundtrip.dbsk");
   ASSERT_TRUE(density::SaveKde(*kde, path).ok());
   auto loaded = density::LoadKde(path);
   ASSERT_TRUE(loaded.ok());

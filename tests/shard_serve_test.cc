@@ -18,7 +18,7 @@
 #include "data/range_scan.h"
 #include "density/kde.h"
 #include "density/kde_partial.h"
-#include "serve/batch_executor.h"
+#include "parallel/batch_executor.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
@@ -26,6 +26,7 @@
 #include "serve/wire.h"
 #include "shard/coordinator.h"
 #include "synth/generator.h"
+#include "tests/test_paths.h"
 #include "util/shard.h"
 
 namespace dbs {
@@ -76,15 +77,15 @@ void ExpectSameModel(const density::Kde& got, const density::Kde& want) {
 // One in-process daemon (registry + executor + service + server).
 struct Daemon {
   serve::ModelRegistry registry;
-  std::unique_ptr<serve::BatchExecutor> executor;
+  std::unique_ptr<parallel::BatchExecutor> executor;
   std::unique_ptr<serve::ModelService> service;
   std::unique_ptr<serve::Server> server;
 
   static std::unique_ptr<Daemon> Start() {
     auto d = std::make_unique<Daemon>();
-    serve::BatchExecutorOptions pool;
+    parallel::BatchExecutorOptions pool;
     pool.num_workers = 2;
-    d->executor = std::make_unique<serve::BatchExecutor>(pool);
+    d->executor = std::make_unique<parallel::BatchExecutor>(pool);
     d->service = std::make_unique<serve::ModelService>(&d->registry,
                                                        d->executor.get());
     auto server =
@@ -104,7 +105,7 @@ class ShardServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = MakeData(2500, 61);
-    path_ = ::testing::TempDir() + "shard_serve_data.dbsf";
+    path_ = test::TestPath("shard_serve_data.dbsf");
     ASSERT_TRUE(data::WriteDatasetFile(path_, data_).ok());
   }
 

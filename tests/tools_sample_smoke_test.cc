@@ -16,14 +16,11 @@
 
 #include "data/dataset_io.h"
 #include "data/point_set.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "dbs_sample_smoke_" + name;
-}
 
 void WriteInput(const std::string& path, int64_t n, int dim,
                 uint64_t seed) {
@@ -56,10 +53,10 @@ class SampleSmokeTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SampleSmokeTest, DoubleBufferedOutputIsByteIdentical) {
   const std::string mode = GetParam();
-  const std::string in = TempPath("in_" + mode + ".dbsf");
-  const std::string out_sync = TempPath("sync_" + mode + ".dbsf");
-  const std::string out_buf = TempPath("buf_" + mode + ".dbsf");
-  const std::string out_default = TempPath("default_" + mode + ".dbsf");
+  const std::string in = test::TestPath("in_" + mode + ".dbsf");
+  const std::string out_sync = test::TestPath("sync_" + mode + ".dbsf");
+  const std::string out_buf = test::TestPath("buf_" + mode + ".dbsf");
+  const std::string out_default = test::TestPath("default_" + mode + ".dbsf");
   WriteInput(in, /*n=*/20000, /*dim=*/3, /*seed=*/0xfeedULL);
 
   const std::string common = "in=" + in + " mode=" + mode +
@@ -78,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, SampleSmokeTest,
                          ::testing::Values("twopass", "stream", "uniform"));
 
 TEST(SampleSmokeTest, MissingOutputStillFailsWithUsage) {
-  const std::string in = TempPath("in_noout.dbsf");
+  const std::string in = test::TestPath("in_noout.dbsf");
   WriteInput(in, /*n=*/100, /*dim=*/2, /*seed=*/1);
   EXPECT_NE(RunSample("in=" + in + " double_buffer=1"), 0);
 }

@@ -18,14 +18,11 @@
 
 #include "data/dataset_io.h"
 #include "data/point_set.h"
+#include "tests/test_paths.h"
 #include "util/rng.h"
 
 namespace dbs {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "dbs_shard_smoke_" + name;
-}
 
 void WriteInput(const std::string& path, int64_t n, int dim,
                 uint64_t seed) {
@@ -72,7 +69,7 @@ std::string MaskPath(std::string text, const std::string& path) {
 class ToolsShardSmokeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    input_ = TempPath("in.dbsf");
+    input_ = test::TestPath("in.dbsf");
     WriteInput(input_, /*n=*/12000, /*dim=*/3, /*seed=*/0xbeefULL);
   }
 
@@ -83,8 +80,8 @@ TEST_F(ToolsShardSmokeTest, SampleShardsOneIsByteIdenticalToDefault) {
   for (const std::string mode : {"twopass", "onepass"}) {
     const std::string common = "in=" + input_ + " mode=" + mode +
                                " size=400 kernels=64 seed=9 out=";
-    const std::string out_default = TempPath("sample_default_" + mode);
-    const std::string out_sharded = TempPath("sample_shards1_" + mode);
+    const std::string out_default = test::TestPath("sample_default_" + mode);
+    const std::string out_sharded = test::TestPath("sample_shards1_" + mode);
     ASSERT_EQ(RunTool(DBS_SAMPLE_BIN, common + out_default + ".dbsf",
                       out_default + ".txt"),
               0);
@@ -107,8 +104,8 @@ TEST_F(ToolsShardSmokeTest, SampleShardsOneIsByteIdenticalToDefault) {
 TEST_F(ToolsShardSmokeTest, SampleHigherShardCountsAreWorkerInvariant) {
   const std::string common =
       "in=" + input_ + " mode=twopass size=400 kernels=64 seed=9 out=";
-  const std::string serial = TempPath("sample_s3_w0");
-  const std::string pooled = TempPath("sample_s3_w4");
+  const std::string serial = test::TestPath("sample_s3_w0");
+  const std::string pooled = test::TestPath("sample_s3_w4");
   ASSERT_EQ(RunTool(DBS_SAMPLE_BIN, common + serial + ".dbsf shards=3",
                     serial + ".txt"),
             0);
@@ -124,7 +121,7 @@ TEST_F(ToolsShardSmokeTest, SampleHigherShardCountsAreWorkerInvariant) {
 }
 
 TEST_F(ToolsShardSmokeTest, SampleRejectsShardsOnUnsupportedModes) {
-  const std::string sink = TempPath("sample_reject");
+  const std::string sink = test::TestPath("sample_reject");
   EXPECT_NE(RunTool(DBS_SAMPLE_BIN,
                     "in=" + input_ + " mode=stream out=" + sink +
                         ".dbsf shards=2",
@@ -141,8 +138,8 @@ TEST_F(ToolsShardSmokeTest, OutliersShardsOneIsByteIdenticalToDefault) {
   for (const std::string mode : {"approx", "estimate"}) {
     const std::string common = "in=" + input_ + " mode=" + mode +
                                " k=0.4 p=4 kernels=64 seed=9";
-    const std::string out_default = TempPath("outl_default_" + mode);
-    const std::string out_sharded = TempPath("outl_shards1_" + mode);
+    const std::string out_default = test::TestPath("outl_default_" + mode);
+    const std::string out_sharded = test::TestPath("outl_shards1_" + mode);
     ASSERT_EQ(RunTool(DBS_OUTLIERS_BIN, common, out_default + ".txt"), 0);
     ASSERT_EQ(RunTool(DBS_OUTLIERS_BIN, common + " shards=1 workers=2",
                       out_sharded + ".txt"),
@@ -156,8 +153,8 @@ TEST_F(ToolsShardSmokeTest, OutliersShardsOneIsByteIdenticalToDefault) {
 TEST_F(ToolsShardSmokeTest, OutliersHigherShardCountsAreWorkerInvariant) {
   const std::string common =
       "in=" + input_ + " mode=approx k=0.4 p=4 kernels=64 seed=9 shards=3";
-  const std::string serial = TempPath("outl_s3_w0");
-  const std::string pooled = TempPath("outl_s3_w4");
+  const std::string serial = test::TestPath("outl_s3_w0");
+  const std::string pooled = test::TestPath("outl_s3_w4");
   ASSERT_EQ(RunTool(DBS_OUTLIERS_BIN, common, serial + ".txt"), 0);
   ASSERT_EQ(RunTool(DBS_OUTLIERS_BIN, common + " workers=4",
                     pooled + ".txt"),
@@ -168,7 +165,7 @@ TEST_F(ToolsShardSmokeTest, OutliersHigherShardCountsAreWorkerInvariant) {
 }
 
 TEST_F(ToolsShardSmokeTest, OutliersRejectsShardsOnExactMode) {
-  const std::string sink = TempPath("outl_reject");
+  const std::string sink = test::TestPath("outl_reject");
   EXPECT_NE(
       RunTool(DBS_OUTLIERS_BIN,
               "in=" + input_ + " mode=exact shards=2", sink + ".txt"),
