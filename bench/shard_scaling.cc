@@ -11,10 +11,17 @@
 //     (model state, sample points, inclusion probabilities, densities,
 //     normalizer, clamp count) at every worker count;
 //   * for each shard count, every worker count must reproduce the workers=0
-//     result bitwise (worker-count invariance).
+//     result bitwise (worker-count invariance);
+//   * every sample must be BITWISE identical to the bound-less reference
+//     for its shard count: NormalizerPartial -> FinalizeNormalizer ->
+//     SamplePartial without bounds -> FinalizeSample over the same model.
+//     The coordinator and BiasedSampler::Run both skip f(x) for rows the
+//     normalization pass's f^a bounds reject, so the first two checks
+//     compare bounded paths with each other; this one pins the skip.
 //
 // Any mismatch is counted, reported as FAIL on stderr and exits nonzero —
-// this is the perf-smoke tripwire for the shards=1 pinning.
+// this is the perf-smoke tripwire for the shards=1 pinning and the bounded
+// sample pass.
 //
 // Output: a table on stdout plus machine-readable JSON in the shape of
 // BENCH_micro_kde.json (BENCH_shard_scaling.json, override with out=).
@@ -33,6 +40,7 @@
 
 #include "core/biased_sampler.h"
 #include "core/sample.h"
+#include "data/range_scan.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "shard/coordinator.h"
@@ -50,6 +58,8 @@ struct SeriesResult {
   double seconds = 0.0;
   double speedup_vs_direct = 0.0;
   int64_t mismatches = 0;
+  // Rows the sampling pass evaluated f(x) for.
+  int64_t density_evaluations = 0;
 };
 
 dbs::data::PointSet MakeData(int dim, int64_t points, uint64_t seed) {
@@ -77,6 +87,20 @@ bool BitwiseEqual(const std::vector<double>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+// Counts differing fields between two samples (0 = bitwise equal).
+int64_t CountSampleMismatches(const dbs::core::BiasedSample& got,
+                              const dbs::core::BiasedSample& want) {
+  int64_t bad = 0;
+  if (!BitwiseEqual(got.points.flat(), want.points.flat())) ++bad;
+  if (!BitwiseEqual(got.inclusion_probs, want.inclusion_probs)) ++bad;
+  if (!BitwiseEqual(got.densities, want.densities)) ++bad;
+  if (std::memcmp(&got.normalizer, &want.normalizer, sizeof(double)) != 0) {
+    ++bad;
+  }
+  if (got.clamped_count != want.clamped_count) ++bad;
+  return bad;
+}
+
 // Counts differing fields between two pipeline outputs (0 = bitwise equal).
 int64_t CountMismatches(const PipelineOutput& got,
                         const PipelineOutput& want) {
@@ -90,20 +114,53 @@ int64_t CountMismatches(const PipelineOutput& got,
       !BitwiseEqual(got.model.bounds.hi(), want.model.bounds.hi())) {
     ++bad;
   }
-  if (!BitwiseEqual(got.sample.points.flat(), want.sample.points.flat())) {
-    ++bad;
+  return bad + CountSampleMismatches(got.sample, want.sample);
+}
+
+// The staged two-pass sample over `num_shards` row ranges with the
+// bound-less sampling pass, which evaluates f(x) for every row.
+dbs::core::BiasedSample BoundlessSample(
+    const dbs::data::PointSet& data, const dbs::density::Kde& kde,
+    const dbs::core::BiasedSamplerOptions& options, int64_t num_shards) {
+  const dbs::core::BiasedSampler sampler(options);
+  dbs::data::InMemoryScan scan(&data);
+  auto slice_info = [&](int64_t s) {
+    dbs::ShardInfo info;
+    info.shard = s;
+    info.num_shards = num_shards;
+    info.total_rows = data.size();
+    return info;
+  };
+  auto slice_range = [&](int64_t s) {
+    return dbs::ShardRowRange(data.size(), num_shards, s);
+  };
+  dbs::core::PartialNormalizer norm;
+  for (int64_t s = 0; s < num_shards; ++s) {
+    const dbs::RowRange range = slice_range(s);
+    dbs::data::RangeScan slice(&scan, range.begin, range.end);
+    auto part = sampler.NormalizerPartial(slice, kde, slice_info(s));
+    DBS_CHECK(part.ok());
+    auto merged =
+        dbs::core::MergePartialNormalizers(std::move(norm), std::move(*part));
+    DBS_CHECK(merged.ok());
+    norm = std::move(*merged);
   }
-  if (!BitwiseEqual(got.sample.inclusion_probs,
-                    want.sample.inclusion_probs)) {
-    ++bad;
+  auto k_a = sampler.FinalizeNormalizer(norm);
+  DBS_CHECK(k_a.ok());
+  dbs::core::PartialSample drawn;
+  for (int64_t s = 0; s < num_shards; ++s) {
+    const dbs::RowRange range = slice_range(s);
+    dbs::data::RangeScan slice(&scan, range.begin, range.end);
+    auto part = sampler.SamplePartial(slice, kde, *k_a, slice_info(s));
+    DBS_CHECK(part.ok());
+    auto merged =
+        dbs::core::MergePartialSamples(std::move(drawn), std::move(*part));
+    DBS_CHECK(merged.ok());
+    drawn = std::move(*merged);
   }
-  if (!BitwiseEqual(got.sample.densities, want.sample.densities)) ++bad;
-  if (std::memcmp(&got.sample.normalizer, &want.sample.normalizer,
-                  sizeof(double)) != 0) {
-    ++bad;
-  }
-  if (got.sample.clamped_count != want.sample.clamped_count) ++bad;
-  return bad;
+  auto sample = sampler.FinalizeSample(std::move(drawn), *k_a);
+  DBS_CHECK(sample.ok());
+  return std::move(*sample);
 }
 
 template <typename Body>
@@ -152,9 +209,10 @@ void WriteJson(const std::string& path, int64_t data_points, int reps,
     std::fprintf(f,
                  "    {\"shards\": %lld, \"workers\": %d, "
                  "\"seconds\": %.6f, \"speedup_vs_direct\": %.3f, "
-                 "\"mismatches\": %lld}%s\n",
+                 "\"mismatches\": %lld, \"density_evaluations\": %lld}%s\n",
                  static_cast<long long>(r.shards), r.workers, r.seconds,
                  r.speedup_vs_direct, static_cast<long long>(r.mismatches),
+                 static_cast<long long>(r.density_evaluations),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -213,8 +271,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(data.size()), dim,
       static_cast<long long>(kernels), static_cast<long long>(size), reps,
       direct_seconds);
-  std::printf("%8s %8s %10s %10s %10s\n", "shards", "workers", "seconds",
-              "speedup", "mismatch");
+  std::printf("%8s %8s %10s %10s %10s %10s\n", "shards", "workers",
+              "seconds", "speedup", "mismatch", "evals");
 
   auto run_sharded = [&](int num_shards,
                          dbs::parallel::BatchExecutor* executor) {
@@ -243,6 +301,10 @@ int main(int argc, char** argv) {
     // The worker-invariance reference for this shard count: the sequential
     // fan-out (a worker pool must not change a single byte).
     const PipelineOutput reference = run_sharded(num_shards, nullptr);
+    auto reference_kde = dbs::density::Kde::FromState(reference.model);
+    DBS_CHECK(reference_kde.ok());
+    const dbs::core::BiasedSample boundless = BoundlessSample(
+        data, *reference_kde, sample_opts, num_shards);
     for (int workers : worker_counts) {
       std::unique_ptr<dbs::parallel::BatchExecutor> executor;
       if (workers > 0) {
@@ -262,10 +324,13 @@ int main(int argc, char** argv) {
       r.speedup_vs_direct = seconds > 0 ? direct_seconds / seconds : 0.0;
       r.mismatches = CountMismatches(got, reference);
       if (num_shards == 1) r.mismatches += CountMismatches(got, direct);
+      r.mismatches += CountSampleMismatches(got.sample, boundless);
+      r.density_evaluations = got.sample.density_evaluations;
       total_mismatches += r.mismatches;
-      std::printf("%8lld %8d %10.4f %9.2fx %10lld\n",
+      std::printf("%8lld %8d %10.4f %9.2fx %10lld %10lld\n",
                   static_cast<long long>(r.shards), r.workers, r.seconds,
-                  r.speedup_vs_direct, static_cast<long long>(r.mismatches));
+                  r.speedup_vs_direct, static_cast<long long>(r.mismatches),
+                  static_cast<long long>(r.density_evaluations));
       results.push_back(r);
     }
   }
@@ -274,7 +339,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: %lld sharded results differ from their reference "
                  "(shards=1 must match the direct pipeline bitwise; every "
-                 "worker count must match the sequential fan-out)\n",
+                 "worker count must match the sequential fan-out; every "
+                 "sample must match the bound-less sampling pass)\n",
                  static_cast<long long>(total_mismatches));
   }
   if (!out.empty()) WriteJson(out, data_points, reps, results);

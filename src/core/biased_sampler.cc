@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,39 @@
 #include "util/rng.h"
 
 namespace dbs::core {
+namespace {
+
+int64_t BoundBlocks(int64_t rows) {
+  return (rows + kBoundBlockRows - 1) / kBoundBlockRows;
+}
+
+// The part of `bounds` that describes the shard `info` names, if it
+// describes exactly that shard's `rows` rows; nullptr otherwise.
+const NormalizerShardPart* MatchingBounds(const PartialNormalizer* bounds,
+                                          const ShardInfo& info,
+                                          int64_t rows) {
+  if (bounds == nullptr) return nullptr;
+  const size_t blocks = static_cast<size_t>(BoundBlocks(rows));
+  for (const NormalizerShardPart& part : bounds->parts) {
+    if (part.shard != info.shard) continue;
+    const bool matches = part.num_shards == info.num_shards &&
+                         part.total_rows == info.total_rows &&
+                         part.rows == rows &&
+                         part.block_pow_min.size() == blocks &&
+                         part.block_pow_max.size() == blocks;
+    return matches ? &part : nullptr;
+  }
+  return nullptr;
+}
+
+// A sample-pass row the bounds could not reject: its batch index and the
+// uniform it drew.
+struct Survivor {
+  int64_t row;
+  double u;
+};
+
+}  // namespace
 
 BiasedSampler::BiasedSampler(const BiasedSamplerOptions& options)
     : options_(options) {}
@@ -39,7 +73,7 @@ Result<BiasedSample> BiasedSampler::Run(
   if (k_a <= 0) {
     return Status::Internal("normalizer k_a is not positive");
   }
-  return SampleWithNormalizer(scan, estimator, k_a);
+  return SampleWithNormalizer(scan, estimator, k_a, &partial);
 }
 
 Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
@@ -65,22 +99,35 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
   // Shard slice of pass 1: k_a contribution = sum of f'(x) over the shard's
   // rows. Densities are computed batch-at-a-time (sharded when an executor
   // is configured); the accumulation stays one sequential sweep in scan
-  // order, so each part is bitwise independent of the worker count.
+  // order, so each part is bitwise independent of the worker count. The
+  // same sweep keeps each row block's f'(x) range for the sampling pass.
   NormalizerShardPart part;
   part.shard = info.shard;
   part.num_shards = info.num_shards;
   part.total_rows = info.total_rows;
+  const size_t blocks = static_cast<size_t>(BoundBlocks(scan.size()));
+  part.block_pow_min.assign(blocks, std::numeric_limits<double>::infinity());
+  part.block_pow_max.assign(blocks, -std::numeric_limits<double>::infinity());
   const double floor =
       options_.density_floor_fraction * estimator.AverageDensity();
   std::vector<double> densities;
   scan.Reset();
   data::ScanBatch batch;
   while (scan.NextBatch(&batch)) {
+    if (part.rows + batch.count > scan.size()) {
+      return Status::Internal("scan delivered more rows than its size");
+    }
     densities.resize(static_cast<size_t>(batch.count));
     DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
         batch.rows, batch.count, densities.data(), options_.executor));
     for (int64_t i = 0; i < batch.count; ++i) {
-      part.k_a += FlooredDensityPow(densities[static_cast<size_t>(i)], floor);
+      const double fa =
+          FlooredDensityPow(densities[static_cast<size_t>(i)], floor);
+      part.k_a += fa;
+      const size_t block =
+          static_cast<size_t>((part.rows + i) / kBoundBlockRows);
+      part.block_pow_min[block] = std::min(part.block_pow_min[block], fa);
+      part.block_pow_max[block] = std::max(part.block_pow_max[block], fa);
     }
     part.rows += batch.count;
   }
@@ -156,7 +203,7 @@ Result<BiasedSample> BiasedSampler::RunOnePass(data::DataScan& scan,
   if (k_a <= 0) {
     return Status::Internal("estimated normalizer k_a is not positive");
   }
-  return SampleWithNormalizer(scan, kde, k_a);
+  return SampleWithNormalizer(scan, kde, k_a, nullptr);
 }
 
 Result<BiasedSample> BiasedSampler::RunOnePass(const data::PointSet& points,
@@ -167,17 +214,19 @@ Result<BiasedSample> BiasedSampler::RunOnePass(const data::PointSet& points,
 
 Result<BiasedSample> BiasedSampler::SampleWithNormalizer(
     data::DataScan& scan, const density::DensityEstimator& estimator,
-    double normalizer) const {
+    double normalizer, const PartialNormalizer* bounds) const {
   ShardInfo info;
   info.total_rows = scan.size();
-  DBS_ASSIGN_OR_RETURN(PartialSample partial,
-                       SamplePartial(scan, estimator, normalizer, info));
+  DBS_ASSIGN_OR_RETURN(
+      PartialSample partial,
+      SamplePartial(scan, estimator, normalizer, info, bounds));
   return FinalizeSample(std::move(partial), normalizer);
 }
 
 Result<PartialSample> BiasedSampler::SamplePartial(
     data::DataScan& scan, const density::DensityEstimator& estimator,
-    double normalizer, const ShardInfo& info) const {
+    double normalizer, const ShardInfo& info,
+    const PartialNormalizer* bounds) const {
   if (scan.dim() != estimator.dim()) {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
@@ -190,9 +239,13 @@ Result<PartialSample> BiasedSampler::SamplePartial(
         "scan does not cover the shard's row range");
   }
   const int dim = scan.dim();
-  const double b = static_cast<double>(options_.target_size);
+  // p = scale * f'(x) is one multiply, so it is monotone in f'(x).
+  const double scale =
+      static_cast<double>(options_.target_size) / normalizer;
   const double floor =
       options_.density_floor_fraction * estimator.AverageDensity();
+  const NormalizerShardPart* shard_bounds =
+      MatchingBounds(bounds, info, range.size());
 
   SampleShardPart part;
   part.shard = info.shard;
@@ -213,17 +266,71 @@ Result<PartialSample> BiasedSampler::SamplePartial(
   // draws from its own ShardSeed stream (shard 0 = the legacy stream).
   Rng rng(ShardSeed(options_.seed, info.shard));
   std::vector<double> densities;
+  std::vector<Survivor> survivors;
+  std::vector<double> survivor_rows;
   scan.Reset();
   data::ScanBatch batch;
   while (scan.NextBatch(&batch)) {
+    if (shard_bounds != nullptr && batch.count > 0 &&
+        part.rows + batch.count <= range.size()) {
+      // Bounded sweep (DESIGN.md §12): when every row's p lies strictly
+      // inside (0, 1), NextBernoulli(p) is exactly NextDouble() < p, so
+      // the coins can be drawn before f is known. A coin at or above its
+      // block's largest p rejects the row; only the rest are evaluated.
+      const size_t first = static_cast<size_t>(part.rows / kBoundBlockRows);
+      const size_t last = static_cast<size_t>(
+          (part.rows + batch.count - 1) / kBoundBlockRows);
+      double pow_min = shard_bounds->block_pow_min[first];
+      double pow_max = shard_bounds->block_pow_max[first];
+      for (size_t k = first + 1; k <= last; ++k) {
+        pow_min = std::min(pow_min, shard_bounds->block_pow_min[k]);
+        pow_max = std::max(pow_max, shard_bounds->block_pow_max[k]);
+      }
+      if (scale * pow_min > 0.0 && scale * pow_max < 1.0) {
+        survivors.clear();
+        for (int64_t i = 0; i < batch.count;) {
+          const int64_t block = (part.rows + i) / kBoundBlockRows;
+          const int64_t end = std::min(
+              batch.count, (block + 1) * kBoundBlockRows - part.rows);
+          const double p_max =
+              scale * shard_bounds->block_pow_max[static_cast<size_t>(block)];
+          for (; i < end; ++i) {
+            const double u = rng.NextDouble();
+            if (u < p_max) survivors.push_back({i, u});
+          }
+        }
+        const int64_t evaluated = static_cast<int64_t>(survivors.size());
+        survivor_rows.resize(static_cast<size_t>(evaluated * dim));
+        double* gathered = survivor_rows.data();
+        for (const Survivor& survivor : survivors) {
+          const double* row = batch.rows + survivor.row * dim;
+          gathered = std::copy(row, row + dim, gathered);
+        }
+        densities.resize(static_cast<size_t>(evaluated));
+        DBS_RETURN_IF_ERROR(
+            estimator.EvaluateBatch(survivor_rows.data(), evaluated,
+                                    densities.data(), options_.executor));
+        for (size_t j = 0; j < survivors.size(); ++j) {
+          const double f = densities[j];
+          const double p = scale * FlooredDensityPow(f, floor);
+          if (survivors[j].u < p) {
+            part.points.Append(batch.point(survivors[j].row, dim));
+            part.inclusion_probs.push_back(p);
+            part.densities.push_back(f);
+          }
+        }
+        part.density_evaluations += evaluated;
+        part.rows += batch.count;
+        continue;
+      }
+    }
     densities.resize(static_cast<size_t>(batch.count));
     DBS_RETURN_IF_ERROR(estimator.EvaluateBatch(
         batch.rows, batch.count, densities.data(), options_.executor));
     for (int64_t i = 0; i < batch.count; ++i) {
       data::PointView x = batch.point(i, dim);
       double f = densities[static_cast<size_t>(i)];
-      double fa = FlooredDensityPow(f, floor);
-      double p = b / normalizer * fa;
+      double p = scale * FlooredDensityPow(f, floor);
       if (p >= 1.0) {
         p = 1.0;
         ++part.clamped_count;
@@ -234,6 +341,7 @@ Result<PartialSample> BiasedSampler::SamplePartial(
         part.densities.push_back(f);
       }
     }
+    part.density_evaluations += batch.count;
     part.rows += batch.count;
   }
 
@@ -260,6 +368,7 @@ Result<BiasedSample> BiasedSampler::FinalizeSample(PartialSample partial,
   sample.inclusion_probs = std::move(partial.parts.front().inclusion_probs);
   sample.densities = std::move(partial.parts.front().densities);
   sample.clamped_count = partial.parts.front().clamped_count;
+  sample.density_evaluations = partial.parts.front().density_evaluations;
   if (partial.parts.front().shard != 0) {
     return Status::InvalidArgument(
         "partial sample state is incomplete: not every shard is present");
@@ -277,6 +386,7 @@ Result<BiasedSample> BiasedSampler::FinalizeSample(PartialSample partial,
     sample.densities.insert(sample.densities.end(), part.densities.begin(),
                             part.densities.end());
     sample.clamped_count += part.clamped_count;
+    sample.density_evaluations += part.density_evaluations;
   }
   return sample;
 }

@@ -22,11 +22,22 @@
 //
 // Two execution modes over a DataScan:
 //   Run       two passes — an exact normalization pass for k_a, then the
-//             sampling pass (this is the paper's Figure-1 algorithm).
+//             sampling pass (this is the paper's Figure-1 algorithm). The
+//             normalization pass also records the min and max of f^a over
+//             every kBoundBlockRows-row block, and the sampling pass uses
+//             them to skip f(x) for rows whose coin already rejects them:
+//             when a batch's bounds put every p strictly inside (0, 1),
+//             each row consumes exactly one uniform u, and a row with
+//             u >= (b / k_a) * max f^a of its block is rejected unevaluated.
+//             Only the survivors are evaluated, so the sampling pass costs
+//             about b density evaluations instead of n, and the sample is
+//             byte-identical to the full-evaluation pass (DESIGN.md §12,
+//             "Bounded sample pass").
 //   RunOnePass one pass — k_a is estimated as n * E[f^a] from the KDE's
 //             kernel centers (which are themselves a uniform sample of D),
 //             the integrated variant sketched at the end of §2.2. The
-//             sample size then only approximates b.
+//             sample size then only approximates b. With no normalization
+//             pass there are no bounds, so every row is evaluated.
 //
 // Zero-density points: a point can sit outside the support of every kernel
 // (f(x) = 0), which would make f^a undefined for a <= 0. The sampler floors
@@ -53,14 +64,24 @@
 
 namespace dbs::core {
 
+// Rows per f^a bound block of the normalization pass. Blocks are keyed by
+// row offset within the shard (block j holds rows [1024 j, 1024 (j + 1))),
+// not by scan batch, so the sampling pass can read them at any batch size.
+inline constexpr int64_t kBoundBlockRows = 1024;
+
 // One shard's contribution to the exact normalization pass: the sequential
-// sum of f'(x) over the shard's rows, in scan order.
+// sum of f'(x) over the shard's rows, in scan order, and the min and max
+// of f'(x) over every kBoundBlockRows-row block (the last block may be
+// short). f'(x) is the floored f(x)^a. The sampling pass reads the block
+// bounds only; merging and FinalizeNormalizer ignore them.
 struct NormalizerShardPart {
   int64_t shard = 0;
   int64_t num_shards = 1;
   int64_t total_rows = 0;
   int64_t rows = 0;
   double k_a = 0.0;
+  std::vector<double> block_pow_min;
+  std::vector<double> block_pow_max;
 };
 
 // Mergeable partial state of the sampler's k_a pass (DESIGN.md §12). Merging
@@ -82,6 +103,8 @@ struct SampleShardPart {
   std::vector<double> inclusion_probs;
   std::vector<double> densities;
   int64_t clamped_count = 0;
+  // Rows whose f(x) the sweep evaluated (all rows without bounds).
+  int64_t density_evaluations = 0;
 };
 
 // Mergeable partial state of the sampling pass; FinalizeSample concatenates
@@ -148,9 +171,17 @@ class BiasedSampler {
   // Reduces a COMPLETE normalizer state to k_a (ascending shard order).
   [[nodiscard]] Result<double> FinalizeNormalizer(const PartialNormalizer& partial) const;
   // Sampling pass over one shard with the shard-seeded Bernoulli stream.
+  // `bounds`, when given, must be normalization state this sampler (or one
+  // with the same options) produced over the same estimator and rows; its
+  // block bounds let the pass skip f(x) for rows the coin rejects anyway,
+  // whatever `normalizer` is. The output is byte-identical with or without
+  // it; only density_evaluations changes. A state with no part for
+  // info.shard, or whose part does not match info.num_shards,
+  // info.total_rows and the shard's row count, is ignored.
   [[nodiscard]] Result<PartialSample> SamplePartial(
       data::DataScan& scan, const density::DensityEstimator& estimator,
-      double normalizer, const ShardInfo& info) const;
+      double normalizer, const ShardInfo& info,
+      const PartialNormalizer* bounds = nullptr) const;
   // Concatenates a COMPLETE sample state in ascending shard order.
   [[nodiscard]] Result<BiasedSample> FinalizeSample(PartialSample partial,
                                       double normalizer) const;
@@ -158,7 +189,7 @@ class BiasedSampler {
  private:
   [[nodiscard]] Result<BiasedSample> SampleWithNormalizer(
       data::DataScan& scan, const density::DensityEstimator& estimator,
-      double normalizer) const;
+      double normalizer, const PartialNormalizer* bounds) const;
 
   double FlooredDensityPow(double f, double floor) const;
 

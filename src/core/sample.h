@@ -33,6 +33,11 @@ struct BiasedSample {
   // fraction signals that target_size or |a| is too aggressive for the
   // density profile.
   int64_t clamped_count = 0;
+  // How many rows BiasedSampler's sampling pass evaluated f(x) for: the
+  // physical work beside the paper's logical pass count. Every row without
+  // normalization-pass bounds, about b with them. Deterministic and
+  // independent of the worker count; other samplers leave it 0.
+  int64_t density_evaluations = 0;
 
   int64_t size() const { return points.size(); }
 

@@ -45,6 +45,11 @@ Result<int64_t> ShardCoordinator::ResolveShards(int64_t* total_rows) const {
   return shards;
 }
 
+parallel::BatchExecutor* ShardCoordinator::ShardExecutor(
+    int64_t num_shards) const {
+  return num_shards == 1 ? options_.executor : nullptr;
+}
+
 template <typename Partial>
 Result<std::vector<Partial>> ShardCoordinator::RunShards(
     int64_t num_shards, int64_t total_rows,
@@ -144,7 +149,7 @@ Result<core::BiasedSample> ShardCoordinator::SampleTwoPass(
   int64_t total_rows = 0;
   DBS_ASSIGN_OR_RETURN(int64_t num_shards, ResolveShards(&total_rows));
   core::BiasedSamplerOptions shard_options = options;
-  shard_options.executor = nullptr;  // per-shard work runs sequentially
+  shard_options.executor = ShardExecutor(num_shards);
   const core::BiasedSampler sampler(shard_options);
 
   // Round 1: exact normalizer.
@@ -168,10 +173,12 @@ Result<core::BiasedSample> ShardCoordinator::SampleTwoPass(
     return Status::Internal("normalizer k_a is not positive");
   }
 
-  // Round 2: Bernoulli sampling against the global normalizer.
+  // Round 2: Bernoulli sampling against the global normalizer, skipping
+  // f(x) where round 1's per-block f^a bounds already reject the row.
   ShardFn<core::PartialSample> draw =
       [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.SamplePartial(scan, estimator, k_a, info);
+        return sampler.SamplePartial(scan, estimator, k_a, info,
+                                     &norm_merged);
       };
   DBS_ASSIGN_OR_RETURN(
       std::vector<core::PartialSample> sample_parts,
@@ -198,7 +205,7 @@ Result<core::BiasedSample> ShardCoordinator::SampleOnePass(
     return Status::InvalidArgument("cannot sample an empty dataset");
   }
   core::BiasedSamplerOptions shard_options = options;
-  shard_options.executor = nullptr;
+  shard_options.executor = ShardExecutor(num_shards);
   const core::BiasedSampler sampler(shard_options);
 
   // k_a ~= n * E[f^a] from the kernel centers (no dataset pass). Evaluated
@@ -234,7 +241,7 @@ Result<outlier::OutlierReport> ShardCoordinator::DetectOutliers(
   int64_t total_rows = 0;
   DBS_ASSIGN_OR_RETURN(int64_t num_shards, ResolveShards(&total_rows));
   outlier::KdeDetectorOptions shard_options = options;
-  shard_options.executor = nullptr;
+  shard_options.executor = ShardExecutor(num_shards);
 
   // Round 1: score rows, keep likely outliers under global row indices.
   ShardFn<outlier::PartialOutlierCandidates> score =

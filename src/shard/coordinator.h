@@ -8,13 +8,15 @@
 //
 //   BuildKde        FitPartial per shard -> MergePartialKde -> FinalizeKde
 //   SampleTwoPass   NormalizerPartial round, then SamplePartial round
+//                   (bounded by the first round's per-block f^a range)
 //   SampleOnePass   estimator-derived k_a, then one SamplePartial round
 //   DetectOutliers  scoring round, then neighbor-counting round
 //
 // Every shard task opens its own scan through the caller's factory (so N
 // file handles stream N disjoint slices concurrently) and runs its partial
 // build sequentially; parallelism is ACROSS shards, fanned out over an
-// optional parallel::BatchExecutor. Determinism guarantees:
+// optional parallel::BatchExecutor (a single shard instead shards its
+// density batches over it). Determinism guarantees:
 //
 //   * shards=1 output is bitwise identical to the unsharded entry points
 //     (Kde::Fit, BiasedSampler::Run/RunOnePass, DetectOutliersApproximate),
@@ -54,8 +56,12 @@ struct ShardCoordinatorOptions {
   // its task — nested executor use from a worker thread would deadlock the
   // pool — so per-shard estimator options must NOT carry an executor; the
   // coordinator strips any configured executor from the options it passes
-  // down. Under queue backpressure the fan-out falls back to running the
-  // shards sequentially on the calling thread: same bytes, less overlap.
+  // down. With one shard there is no fan-out and the shard runs on the
+  // calling thread, so the sampler and detector options get this pool
+  // instead and their density batches fan out over it (same bytes: batch
+  // evaluation is worker-invariant). Under queue backpressure the fan-out
+  // falls back to running the shards sequentially on the calling thread:
+  // same bytes, less overlap.
   parallel::BatchExecutor* executor = nullptr;
 };
 
@@ -94,6 +100,11 @@ class ShardCoordinator {
   template <typename Partial>
   using ShardFn =
       std::function<Result<Partial>(data::DataScan&, const ShardInfo&)>;
+
+  // The executor the per-shard sampler and detector options carry: the
+  // coordinator's own when the single shard runs on the calling thread,
+  // none when shards fan out over it.
+  parallel::BatchExecutor* ShardExecutor(int64_t num_shards) const;
 
   // Opens the dataset once to learn its size; returns the clamped shard
   // count for it.

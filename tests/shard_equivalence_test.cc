@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,25 +158,51 @@ TEST_F(ShardEquivalenceTest, OutlierDetectionMatchesAtAnyShardCount) {
 }
 
 TEST_F(ShardEquivalenceTest, WorkerCountNeverChangesBytes) {
-  const int64_t shards = 3;
-  auto reference_kde = MakeCoordinator(shards).BuildKde(KdeOpts());
-  ASSERT_TRUE(reference_kde.ok());
-  auto reference_sample =
-      MakeCoordinator(shards).SampleTwoPass(*reference_kde, SampleOpts());
-  ASSERT_TRUE(reference_sample.ok());
+  // At shards=3 the pool fans the shards out; at shards=1 the one shard
+  // runs on the calling thread and the pool shards its density batches.
+  for (int64_t shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto reference_kde = MakeCoordinator(shards).BuildKde(KdeOpts());
+    ASSERT_TRUE(reference_kde.ok());
+    auto reference_sample =
+        MakeCoordinator(shards).SampleTwoPass(*reference_kde, SampleOpts());
+    ASSERT_TRUE(reference_sample.ok());
+    auto reference_onepass =
+        MakeCoordinator(shards).SampleOnePass(*reference_kde, SampleOpts());
+    ASSERT_TRUE(reference_onepass.ok());
+    outlier::DbOutlierParams params;
+    params.radius = 0.05;
+    params.max_neighbors = 10;
+    auto reference_outliers = MakeCoordinator(shards).DetectOutliers(
+        *reference_kde, params, outlier::KdeDetectorOptions());
+    ASSERT_TRUE(reference_outliers.ok());
 
-  for (int workers : {1, 4}) {
-    parallel::BatchExecutorOptions pool;
-    pool.num_workers = workers;
-    parallel::BatchExecutor executor(pool);
-    shard::ShardCoordinator coordinator = MakeCoordinator(shards, &executor);
-    auto kde = coordinator.BuildKde(KdeOpts());
-    ASSERT_TRUE(kde.ok()) << kde.status().ToString();
-    ExpectSameModel(*kde, *reference_kde);
-    auto sample = coordinator.SampleTwoPass(*kde, SampleOpts());
-    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
-    ExpectSameSample(*sample, *reference_sample);
-    executor.Shutdown();
+    for (int workers : {1, 4}) {
+      parallel::BatchExecutorOptions pool;
+      pool.num_workers = workers;
+      parallel::BatchExecutor executor(pool);
+      shard::ShardCoordinator coordinator =
+          MakeCoordinator(shards, &executor);
+      auto kde = coordinator.BuildKde(KdeOpts());
+      ASSERT_TRUE(kde.ok()) << kde.status().ToString();
+      ExpectSameModel(*kde, *reference_kde);
+      auto sample = coordinator.SampleTwoPass(*kde, SampleOpts());
+      ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+      ExpectSameSample(*sample, *reference_sample);
+      EXPECT_EQ(sample->density_evaluations,
+                reference_sample->density_evaluations);
+      auto onepass = coordinator.SampleOnePass(*kde, SampleOpts());
+      ASSERT_TRUE(onepass.ok()) << onepass.status().ToString();
+      ExpectSameSample(*onepass, *reference_onepass);
+      auto outliers = coordinator.DetectOutliers(
+          *kde, params, outlier::KdeDetectorOptions());
+      ASSERT_TRUE(outliers.ok()) << outliers.status().ToString();
+      EXPECT_EQ(outliers->outlier_indices,
+                reference_outliers->outlier_indices);
+      EXPECT_EQ(outliers->neighbor_counts,
+                reference_outliers->neighbor_counts);
+      executor.Shutdown();
+    }
   }
 }
 

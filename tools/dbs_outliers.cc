@@ -14,8 +14,8 @@
 //
 // shards=N runs the estimator fit and the approx detector through the
 // sharded build pipeline (DESIGN.md §12), workers=W fans the shard builds
-// over a thread pool. shards=1 (the default) is bitwise identical to the
-// unsharded pipeline.
+// over a thread pool (at shards=1, the detector's density batches).
+// shards=1 (the default) is bitwise identical to the unsharded pipeline.
 
 #include <cstdio>
 #include <memory>

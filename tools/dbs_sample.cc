@@ -7,13 +7,16 @@
 //
 // Streams the input (never materializes it), writes the sampled points to
 // `out`, and prints the sample statistics: size, normalizer, clamped count
-// and the Horvitz-Thompson estimate of the input size.
+// and the Horvitz-Thompson estimate of the input size. The twopass/onepass
+// modes also print, on stderr, how many rows the sampling pass evaluated
+// f(x) for (density_evaluations=).
 //
 // The twopass/onepass modes run through the sharded build pipeline
 // (DESIGN.md §12): shards=N splits every pass into N disjoint row ranges
 // whose partial states are merged, and workers=W fans the shard builds over
-// a thread pool. shards=1 (the default) is bitwise identical to the
-// unsharded pipeline, and any worker count leaves the output unchanged.
+// a thread pool (at shards=1, the sampler's density batches). shards=1 (the
+// default) is bitwise identical to the unsharded pipeline, and any worker
+// count leaves the output unchanged.
 
 #include <cstdio>
 #include <memory>
@@ -185,6 +188,10 @@ int main(int argc, char** argv) {
     clamped = sample->clamped_count;
     estimated_n = sample->EstimatedDatasetSize();
     sampled_points = std::move(sample->points);
+    // Physical work beside the logical pass count below; on stderr so the
+    // stdout report stays the same.
+    std::fprintf(stderr, "density_evaluations=%lld\n",
+                 static_cast<long long>(sample->density_evaluations));
     // The coordinator's shards open their own scans, so logical dataset
     // passes are accounted here: one for a fresh fit, two for the
     // normalizer+sampling sweeps (one when onepass skips the normalizer).
