@@ -15,12 +15,12 @@
 //   micro_cluster [sizes=500,2000,8000] [dims=2,5] [reps=2]
 //                 [out=BENCH_micro_cluster.json]
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "cluster/hierarchical.h"
 #include "data/point_set.h"
 #include "tools/flags.h"
@@ -29,7 +29,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using dbs::bench::ParseIntList;
+using dbs::bench::TimeBest;
 
 struct SeriesResult {
   std::string series;
@@ -109,32 +110,6 @@ int64_t CountMismatches(const dbs::cluster::ClusteringResult& got,
   return bad;
 }
 
-template <typename Body>
-double TimeBest(int reps, Body&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Clock::time_point start = Clock::now();
-    body();
-    double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-bool ParseIntList(const std::string& spec, std::vector<int64_t>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    int64_t value = std::atoll(spec.substr(pos, comma - pos).c_str());
-    if (value <= 0) return false;
-    out->push_back(value);
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 void PrintRow(const SeriesResult& r) {
   std::printf("%12s %7lld %4d %10.4f %14.0f %9.2fx %10lld\n",
               r.series.c_str(), static_cast<long long>(r.n), r.dim,
@@ -184,7 +159,8 @@ int main(int argc, char** argv) {
   DBS_CHECK(reps > 0);
   std::vector<int64_t> sizes;
   std::vector<int64_t> dims;
-  if (!ParseIntList(sizes_spec, &sizes) || !ParseIntList(dims_spec, &dims)) {
+  if (!ParseIntList(sizes_spec, int64_t{1}, &sizes) ||
+      !ParseIntList(dims_spec, int64_t{1}, &dims)) {
     std::fprintf(stderr, "bad sizes=/dims= list\n");
     return 2;
   }

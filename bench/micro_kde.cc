@@ -1,39 +1,34 @@
 // KDE evaluation micro-benchmark: batch vs scalar, index ablation, and
-// thread scaling (DESIGN.md §5 and §9).
+// thread scaling (DESIGN.md §5, §9 and §15).
 //
-// For each (dim, kernels) configuration the bench times four single-thread
-// series over the same query set —
+// For each (dim, kernels) configuration the bench fits one Kde and times
+// three single-thread series over the same query set —
 //
-//   scalar_indexed   per-point Evaluate through the grid index
-//   scalar_brute     per-point EvaluateBrute (all kernels)
-//   batch_indexed    EvaluateBatch, cell-sorted SoA tiles, no executor
-//   batch_brute      EvaluateBatch with the index disabled: the center
-//                    kd-tree path (DESIGN.md §15), checked bitwise against
-//                    scalar_brute
+//   scalar_indexed   per-point Evaluate: through the grid index up to 6
+//                    dims, EvaluateBrute above
+//   scalar_brute     per-point EvaluateBrute (all kernels; the ablation of
+//                    the grid index, not checked: it sums in another order)
+//   batch_indexed    EvaluateBatch, no executor: cell-sorted SoA tiles up
+//                    to 6 dims, the center kd-tree above
 //
 // — and then re-runs batch_indexed on the headline configuration sharded
 // across a BatchExecutor at each requested worker count. Every batch result
-// is checked bitwise against the scalar series (the paths promise identical
-// output); mismatches are counted and reported.
+// is checked bitwise against scalar_indexed (the paths promise identical
+// output), so the 8-D configurations gate the center-tree path and the
+// others the grid path; mismatches are counted and reported.
 //
 // Output: a table on stdout plus machine-readable JSON in the shape of
 // BENCH_serve_throughput.json (BENCH_micro_kde.json, override with out=).
 //
-// index= selects the evaluator family: `all` (default) runs the four series
-// above, `grid` / `brute` just that pair. The 8-D configurations have no
-// grid index (dim > 6), so their `indexed` series measure the same paths
-// as the `brute` ones.
-//
 //   micro_kde [queries=20000] [data_points=50000] [reps=3]
-//             [threads=1,2,4,8] [index=all|grid|brute]
-//             [out=BENCH_micro_kde.json]
+//             [threads=1,2,4,8] [out=BENCH_micro_kde.json]
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
@@ -42,7 +37,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using dbs::bench::ParseIntList;
+using dbs::bench::TimeBest;
 
 struct Config {
   int dim = 2;
@@ -72,29 +68,13 @@ dbs::data::PointSet MakeData(int dim, int64_t points, uint64_t seed) {
   return std::move(ds)->points;
 }
 
-dbs::density::Kde FitKde(const dbs::data::PointSet& points, int64_t kernels,
-                         bool grid_index) {
+dbs::density::Kde FitKde(const dbs::data::PointSet& points, int64_t kernels) {
   dbs::density::KdeOptions opts;
   opts.num_kernels = kernels;
-  opts.use_grid_index = grid_index;
   opts.seed = 17;
   auto kde = dbs::density::Kde::Fit(points, opts);
   DBS_CHECK(kde.ok());
   return std::move(kde).value();
-}
-
-// Runs `body` `reps` times and returns the fastest wall-clock seconds.
-template <typename Body>
-double TimeBest(int reps, Body&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Clock::time_point start = Clock::now();
-    body();
-    double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
 }
 
 int64_t CountMismatches(const std::vector<double>& got,
@@ -105,19 +85,6 @@ int64_t CountMismatches(const std::vector<double>& got,
     if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) ++bad;
   }
   return bad;
-}
-
-bool ParseThreadList(const std::string& spec, std::vector<int>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value <= 0) return false;
-    out->push_back(value);
-    pos = comma + 1;
-  }
-  return !out->empty();
 }
 
 void PrintRow(const SeriesResult& r) {
@@ -164,16 +131,11 @@ int main(int argc, char** argv) {
   int64_t data_points = flags.GetInt("data_points", 50000);
   int reps = static_cast<int>(flags.GetInt("reps", 3));
   std::string threads_spec = flags.GetString("threads", "1,2,4,8");
-  std::string index = flags.GetString("index", "all");
   std::string out = flags.GetString("out", "BENCH_micro_kde.json");
   if (!flags.AllKnown()) return 2;
   DBS_CHECK(queries > 0 && data_points > 0 && reps > 0);
-  if (index != "all" && index != "grid" && index != "brute") {
-    std::fprintf(stderr, "index must be all, grid or brute\n");
-    return 2;
-  }
   std::vector<int> thread_counts;
-  if (!ParseThreadList(threads_spec, &thread_counts)) {
+  if (!ParseIntList(threads_spec, 1, &thread_counts)) {
     std::fprintf(stderr, "bad threads= list '%s'\n", threads_spec.c_str());
     return 2;
   }
@@ -198,14 +160,13 @@ int main(int argc, char** argv) {
     dbs::data::PointSet query = MakeData(config.dim, queries, 99);
     const int64_t nq = query.size();
     const double* rows = query.flat().data();
-    dbs::density::Kde indexed = FitKde(train, config.kernels, true);
-    dbs::density::Kde brute = FitKde(train, config.kernels, false);
+    dbs::density::Kde kde = FitKde(train, config.kernels);
 
-    // Two references: the indexed and brute scalar paths sum centers in
-    // different orders, so they agree only to rounding — each batch series
-    // is checked bitwise against the scalar series with the SAME order.
+    // The reference is scalar Evaluate: EvaluateBrute sums the centers in
+    // another order up to 6 dims, so it agrees with the batch path only to
+    // rounding there.
     std::vector<double> ref(static_cast<size_t>(nq));
-    std::vector<double> ref_brute(static_cast<size_t>(nq));
+    std::vector<double> brute(static_cast<size_t>(nq));
     std::vector<double> got(static_cast<size_t>(nq));
 
     auto add = [&](const std::string& series, int threads, double seconds,
@@ -227,44 +188,23 @@ int main(int argc, char** argv) {
 
     const bool headline =
         config.dim == kHeadline.dim && config.kernels == kHeadline.kernels;
-    const bool run_grid = index == "all" || index == "grid";
-    const bool run_brute = index == "all" || index == "brute";
 
     // Scalar baselines (the pre-batching hot path).
-    double scalar_indexed = 0.0;
-    if (run_grid) {
-      scalar_indexed = TimeBest(reps, [&] {
-        for (int64_t i = 0; i < nq; ++i) ref[i] = indexed.Evaluate(query[i]);
-      });
-      add("scalar_indexed", 0, scalar_indexed, scalar_indexed, 0);
-    }
+    double scalar_indexed = TimeBest(reps, [&] {
+      for (int64_t i = 0; i < nq; ++i) ref[i] = kde.Evaluate(query[i]);
+    });
+    add("scalar_indexed", 0, scalar_indexed, scalar_indexed, 0);
+    double scalar_brute = TimeBest(reps, [&] {
+      for (int64_t i = 0; i < nq; ++i) brute[i] = kde.EvaluateBrute(query[i]);
+    });
+    add("scalar_brute", 0, scalar_brute, scalar_brute, 0);
 
-    double scalar_brute = 0.0;
-    if (run_brute) {
-      scalar_brute = TimeBest(reps, [&] {
-        for (int64_t i = 0; i < nq; ++i) {
-          ref_brute[i] = brute.EvaluateBrute(query[i]);
-        }
-      });
-      add("scalar_brute", 0, scalar_brute, scalar_brute, 0);
-    }
-
-    // Single-thread batch paths, checked bitwise against the scalar runs.
-    if (run_grid) {
-      double batch_indexed = TimeBest(reps, [&] {
-        DBS_CHECK(indexed.EvaluateBatch(rows, nq, got.data()).ok());
-      });
-      add("batch_indexed", 0, batch_indexed, scalar_indexed,
-          CountMismatches(got, ref));
-    }
-
-    if (run_brute) {
-      double batch_brute = TimeBest(reps, [&] {
-        DBS_CHECK(brute.EvaluateBatch(rows, nq, got.data()).ok());
-      });
-      add("batch_brute", 0, batch_brute, scalar_brute,
-          CountMismatches(got, ref_brute));
-    }
+    // Single-thread batch path, checked bitwise against the scalar run.
+    double batch_indexed = TimeBest(reps, [&] {
+      DBS_CHECK(kde.EvaluateBatch(rows, nq, got.data()).ok());
+    });
+    add("batch_indexed", 0, batch_indexed, scalar_indexed,
+        CountMismatches(got, ref));
 
     // Thread-scaling series on the headline configuration.
     if (headline) {
@@ -273,14 +213,11 @@ int main(int argc, char** argv) {
         pool.num_workers = threads;
         pool.queue_capacity = 4096;
         dbs::parallel::BatchExecutor executor(pool);
-        if (run_grid) {
-          double seconds = TimeBest(reps, [&] {
-            DBS_CHECK(
-                indexed.EvaluateBatch(rows, nq, got.data(), &executor).ok());
-          });
-          add("batch_indexed", threads, seconds, scalar_indexed,
-              CountMismatches(got, ref));
-        }
+        double seconds = TimeBest(reps, [&] {
+          DBS_CHECK(kde.EvaluateBatch(rows, nq, got.data(), &executor).ok());
+        });
+        add("batch_indexed", threads, seconds, scalar_indexed,
+            CountMismatches(got, ref));
         executor.Shutdown();
       }
     }

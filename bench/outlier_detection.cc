@@ -29,12 +29,12 @@
 //                     [workers=0,1,4] [algos=kd,cell,nested] [reps=3]
 //                     [out=BENCH_outlier_exact.json]
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "density/kde.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
@@ -50,6 +50,9 @@
 #include "util/check.h"
 
 namespace {
+
+using dbs::bench::ParseIntList;
+using dbs::bench::TimeBest;
 
 struct Workload {
   const char* name;
@@ -106,21 +109,6 @@ dbs::density::Kde FitSharpKde(const dbs::data::PointSet& points) {
   auto kde = dbs::density::Kde::Fit(points, opts);
   DBS_CHECK(kde.ok());
   return std::move(kde).value();
-}
-
-// Runs `body` `reps` times and returns the fastest wall-clock seconds.
-template <typename Body>
-double TimeBest(int reps, Body&& body) {
-  using Clock = std::chrono::steady_clock;
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Clock::time_point start = Clock::now();
-    body();
-    double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
 }
 
 int64_t CountMismatches(const std::vector<double>& got,
@@ -212,22 +200,6 @@ int RunBatchMode(int64_t points, int64_t queries, int qmc_samples, int reps,
     return 1;
   }
   return 0;
-}
-
-bool ParseIntList(const std::string& spec, std::vector<int>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(pos, comma - pos);
-    if (token.empty()) return false;
-    for (char c : token) {
-      if (c < '0' || c > '9') return false;
-    }
-    out->push_back(std::atoi(token.c_str()));
-    pos = comma + 1;
-  }
-  return !out->empty();
 }
 
 bool ParseAlgoList(const std::string& spec, std::vector<std::string>* out) {
@@ -425,8 +397,8 @@ int main(int argc, char** argv) {
     std::vector<int> dims;
     std::vector<int> worker_counts;
     std::vector<std::string> algos;
-    if (!ParseIntList(dims_spec, &dims) ||
-        !ParseIntList(workers_spec, &worker_counts) ||
+    if (!ParseIntList(dims_spec, 1, &dims) ||
+        !ParseIntList(workers_spec, 0, &worker_counts) ||
         !ParseAlgoList(algos_spec, &algos)) {
       std::fprintf(stderr,
                    "bad dims=/workers=/algos= (algos from kd,cell,nested)\n");

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "density/kde.h"
 #include "parallel/batch_executor.h"
 #include "serve/client.h"
@@ -171,19 +172,6 @@ RunResult RunOne(const std::string& transport, int workers, int clients,
   return result;
 }
 
-bool ParseWorkerList(const std::string& spec, std::vector<int>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value <= 0) return false;
-    out->push_back(value);
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 bool ParseTransportList(const std::string& spec,
                         std::vector<std::string>* out) {
   size_t pos = 0;
@@ -246,7 +234,7 @@ int main(int argc, char** argv) {
   std::string out = flags.GetString("out", "BENCH_serve_throughput.json");
   if (!flags.AllKnown()) return 2;
   std::vector<int> worker_counts;
-  if (!ParseWorkerList(workers_spec, &worker_counts)) {
+  if (!dbs::bench::ParseIntList(workers_spec, 1, &worker_counts)) {
     std::fprintf(stderr, "bad workers= list '%s'\n", workers_spec.c_str());
     return 2;
   }

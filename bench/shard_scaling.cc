@@ -30,7 +30,6 @@
 //                 [reps=3] [shards=1,2,4,8] [workers=0,1,2,4]
 //                 [out=BENCH_shard_scaling.json]
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -38,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_timing.h"
 #include "core/biased_sampler.h"
 #include "core/sample.h"
 #include "data/range_scan.h"
@@ -50,7 +50,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using dbs::bench::ParseIntList;
+using dbs::bench::TimeBest;
 
 struct SeriesResult {
   int64_t shards = 0;
@@ -163,35 +164,6 @@ dbs::core::BiasedSample BoundlessSample(
   return std::move(*sample);
 }
 
-template <typename Body>
-double TimeBest(int reps, Body&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    Clock::time_point start = Clock::now();
-    body();
-    double seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (r == 0 || seconds < best) best = seconds;
-  }
-  return best;
-}
-
-bool ParseIntList(const std::string& spec, std::vector<int>* out) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(pos, comma - pos);
-    if (token.empty()) return false;
-    for (char c : token) {
-      if (c < '0' || c > '9') return false;
-    }
-    out->push_back(std::atoi(token.c_str()));
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 void WriteJson(const std::string& path, int64_t data_points, int reps,
                const std::vector<SeriesResult>& results) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -238,12 +210,11 @@ int main(int argc, char** argv) {
             reps > 0);
   std::vector<int> shard_counts;
   std::vector<int> worker_counts;
-  if (!ParseIntList(shards_spec, &shard_counts) ||
-      !ParseIntList(workers_spec, &worker_counts)) {
+  if (!ParseIntList(shards_spec, 1, &shard_counts) ||
+      !ParseIntList(workers_spec, 0, &worker_counts)) {
     std::fprintf(stderr, "bad shards=/workers= list\n");
     return 2;
   }
-  for (int s : shard_counts) DBS_CHECK(s >= 1);
 
   const dbs::data::PointSet data = MakeData(dim, data_points, 71);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "data/bounds.h"
-#include "density/density_estimator.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -14,10 +13,8 @@ namespace {
 
 // Incremental product-kernel density estimate over a center reservoir.
 // Evaluation is brute force over at most `capacity` centers — the same
-// asymptotic cost per point as the offline sampling pass. Deriving from
-// DensityEstimator gives the sampler the batched (executor-shardable)
-// EvaluateBatch path over a frozen reservoir state for free.
-class StreamingKde final : public density::DensityEstimator {
+// asymptotic cost per point as the offline sampling pass.
+class StreamingKde {
  public:
   StreamingKde(int dim, int64_t capacity, density::KernelType kernel,
                double bandwidth_scale, uint64_t seed)
@@ -29,19 +26,9 @@ class StreamingKde final : public density::DensityEstimator {
         moments_(dim),
         rng_(seed) {}
 
-  int dim() const override { return dim_; }
-
-  // The estimate is unit-mass (integrates to ~1, see Evaluate), so the
-  // "approximate integral of Evaluate over the domain" the interface asks
-  // for is 1, not the points seen.
-  int64_t total_mass() const override { return 1; }
-
-  // Offers a point to the center reservoir and updates the moments. The
-  // bandwidth refresh — the "rebuild" the cadence knob amortizes — can be
-  // deferred: moments/reservoir/bounds updates are per point regardless,
-  // and Evaluate only reads the bandwidths, so refreshing once after a run
-  // of Observes yields the same bandwidths as refreshing on every one.
-  void Observe(data::PointView p, bool refresh_bandwidths = true) {
+  // Offers a point to the center reservoir, updates the moments and
+  // refreshes the bandwidths from them.
+  void Observe(data::PointView p) {
     bounds_.Extend(p);
     for (int j = 0; j < dim_; ++j) moments_[j].Add(p[j]);
     if (seen_ < capacity_) {
@@ -55,10 +42,8 @@ class StreamingKde final : public density::DensityEstimator {
       }
     }
     ++seen_;
-    if (refresh_bandwidths) RefreshBandwidths();
+    RefreshBandwidths();
   }
-
-  int64_t seen() const { return seen_; }
 
   // UNIT-MASS density estimate (integrates to ~1 over the domain). The
   // mass-scaled estimate would grow with the number of points seen, which
@@ -66,7 +51,7 @@ class StreamingKde final : public density::DensityEstimator {
   // later points; the unit-mass estimate is scale-stationary across the
   // stream, so the b/k_a * f^a expression stays consistent (any common
   // scale cancels between numerator and normalizer anyway).
-  double Evaluate(data::PointView p) const override {
+  double Evaluate(data::PointView p) const {
     DBS_DCHECK(!centers_.empty());
     double sum = 0.0;
     for (int64_t i = 0; i < centers_.size(); ++i) {
@@ -87,7 +72,7 @@ class StreamingKde final : public density::DensityEstimator {
   }
 
   // Average unit-mass density of the domain seen so far (1 / volume).
-  double AverageDensity() const override {
+  double AverageDensity() const {
     double volume = bounds_.Volume();
     return volume > 0 ? 1.0 / volume : 1.0;
   }
@@ -137,9 +122,6 @@ class StreamingKde final : public density::DensityEstimator {
   if (options.bandwidth_scale <= 0) {
     return Status::InvalidArgument("bandwidth_scale must be positive");
   }
-  if (options.rebuild_cadence <= 0) {
-    return Status::InvalidArgument("rebuild_cadence must be positive");
-  }
   const int dim = scan.dim();
   const int64_t n = scan.size();
   if (n == 0) {
@@ -165,58 +147,6 @@ class StreamingKde final : public density::DensityEstimator {
   // Running mean of f^a over scored points -> normalizer k_a ~= n * mean.
   OnlineMoments fa_moments;
 
-  // Post-warmup points collect into a window of `rebuild_cadence` points
-  // that is scored as one batch against the reservoir estimator FROZEN at
-  // the window start, then swept sequentially (every RNG draw and
-  // normalizer update happens in the sweep, in stream order — the
-  // BiasedSampler one-sequential-RNG-sweep pattern, so samples are
-  // byte-identical for any worker count). At cadence 1 the frozen estimator
-  // is each point's exact prefix estimator and the flow reproduces the old
-  // per-point loop byte-for-byte: evaluate, floor, decide, then Observe.
-  data::PointSet window(dim);
-  std::vector<double> window_f;
-  auto flush_window = [&]() {
-    const int64_t w = window.size();
-    if (w == 0) return;
-    window_f.resize(static_cast<size_t>(w));
-    Status batched = kde.EvaluateBatch(window.flat().data(), w,
-                                       window_f.data(), options.executor);
-    if (!batched.ok()) {
-      // Executor backpressure: the sequential batch path cannot fail and
-      // produces the identical values.
-      (void)kde.EvaluateBatch(window.flat().data(), w, window_f.data(),
-                              nullptr);
-    }
-    // Floor and f_unit are frozen at the window start by construction.
-    const double floor =
-        options.density_floor_fraction * kde.AverageDensity();
-    for (int64_t i = 0; i < w; ++i) {
-      const double f_unit = window_f[static_cast<size_t>(i)];
-      double fa = SafePow(std::max(f_unit, floor), options.a);
-      fa_moments.Add(fa);
-      double k_a = static_cast<double>(n) * fa_moments.mean();
-      double p = k_a > 0 ? b / k_a * fa : uniform_rate;
-      if (p >= 1.0) {
-        p = 1.0;
-        ++sample.clamped_count;
-      }
-      if (rng.NextBernoulli(p)) {
-        sample.points.Append(window[i]);
-        sample.inclusion_probs.push_back(p);
-        // Report the mass-scaled density (points per unit volume).
-        sample.densities.push_back(f_unit * static_cast<double>(n));
-      }
-    }
-    // Absorb the window in stream order; the bandwidth rebuild — the
-    // expensive part of Observe — is paid once per window, on the last
-    // point. The reservoir RNG consumes one draw per point either way, so
-    // the reservoir stream is cadence-independent.
-    for (int64_t i = 0; i < w; ++i) {
-      kde.Observe(window[i], /*refresh_bandwidths=*/i + 1 == w);
-    }
-    window.Clear();
-  };
-
   scan.Reset();
   data::ScanBatch batch;
   int64_t row = 0;
@@ -233,11 +163,27 @@ class StreamingKde final : public density::DensityEstimator {
         }
         continue;
       }
-      window.Append(x);
-      if (window.size() >= options.rebuild_cadence) flush_window();
+      // Score against the prefix estimator, then absorb the point.
+      const double f_unit = kde.Evaluate(x);
+      const double floor =
+          options.density_floor_fraction * kde.AverageDensity();
+      double fa = SafePow(std::max(f_unit, floor), options.a);
+      fa_moments.Add(fa);
+      double k_a = static_cast<double>(n) * fa_moments.mean();
+      double p = k_a > 0 ? b / k_a * fa : uniform_rate;
+      if (p >= 1.0) {
+        p = 1.0;
+        ++sample.clamped_count;
+      }
+      if (rng.NextBernoulli(p)) {
+        sample.points.Append(x);
+        sample.inclusion_probs.push_back(p);
+        // Report the mass-scaled density (points per unit volume).
+        sample.densities.push_back(f_unit * static_cast<double>(n));
+      }
+      kde.Observe(x);
     }
   }
-  flush_window();
   sample.normalizer =
       fa_moments.count() > 0
           ? static_cast<double>(n) * fa_moments.mean()

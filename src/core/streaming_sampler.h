@@ -40,7 +40,6 @@
 #include "data/dataset.h"
 #include "density/bandwidth.h"
 #include "density/kernel.h"
-#include "parallel/batch_executor.h"
 #include "util/status.h"
 
 namespace dbs::core {
@@ -61,23 +60,6 @@ struct StreamingSamplerOptions {
   // Density floor, as a fraction of the running average density.
   double density_floor_fraction = 1e-3;
   uint64_t seed = 1;
-  // Post-warmup points are scored in windows of this many points. The whole
-  // window is evaluated against the reservoir estimator FROZEN at the
-  // window start — one batched DensityEstimator::EvaluateBatch call,
-  // shardable across `executor` — then a single sequential sweep draws the
-  // inclusion decisions and absorbs the window into the reservoir, with the
-  // bandwidth rebuild paid once per window instead of once per point. 1
-  // reproduces the historical point-at-a-time behavior byte-for-byte (the
-  // frozen estimator then IS each point's exact prefix estimator); larger
-  // windows trade scoring staleness for batching, and sample quality is
-  // insensitive to the knob (tests/core_streaming_test.cc bounds it).
-  int64_t rebuild_cadence = 1;
-  // Optional executor sharding the window's density evaluations. Samples
-  // are byte-identical with or without it (and for any worker count): the
-  // batched evaluation is per-point independent, and all RNG draws happen
-  // in the one sequential sweep — the same pattern BiasedSampler uses.
-  // Falls back to sequential evaluation under queue backpressure.
-  parallel::BatchExecutor* executor = nullptr;
 };
 
 // Draws the biased sample in a single pass over `scan`.

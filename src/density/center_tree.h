@@ -1,6 +1,6 @@
-// The kd-tree over a Kde's kernel centers: Kde's batch evaluator whenever
-// the model has no grid index (dim > 6, or KdeOptions.use_grid_index =
-// false). Private to density/kde.cc; see DESIGN.md §15.
+// The kd-tree over a Kde's kernel centers: Kde's batch evaluator above 6
+// dims, where the model has no grid index. Used only by density/kde.cc;
+// see DESIGN.md §15.
 //
 // The tree splits the centers at the median of each node's widest
 // dimension (leaves hold at most kLeafSize centers) and keeps a tight box

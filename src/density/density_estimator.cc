@@ -2,48 +2,25 @@
 
 namespace dbs::density {
 
-Status DensityEstimator::EvaluateBatch(const double* rows, int64_t count,
-                                       double* out,
-                                       parallel::BatchExecutor* executor)
+void DensityEstimator::EvaluateRange(const double* rows, const double* selves,
+                                     int64_t begin, int64_t end,
+                                     double* out) const {
+  const int d = dim();
+  for (int64_t i = begin; i < end; ++i) {
+    data::PointView p(rows + i * d, d);
+    out[i] = selves == nullptr
+                 ? Evaluate(p)
+                 : EvaluateExcluding(p, data::PointView(selves + i * d, d));
+  }
+}
+
+Status DensityEstimator::EvaluateRows(const double* rows, const double* selves,
+                                      int64_t count, double* out,
+                                      parallel::BatchExecutor* executor)
     const {
   if (count <= 0) return Status::Ok();
-  const int d = dim();
   auto shard = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      out[i] = Evaluate(data::PointView(rows + i * d, d));
-    }
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
-}
-
-Status DensityEstimator::EvaluateExcludingBatch(
-    const double* rows, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  if (count <= 0) return Status::Ok();
-  const int d = dim();
-  auto shard = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      data::PointView p(rows + i * d, d);
-      out[i] = EvaluateExcluding(p, p);
-    }
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
-}
-
-Status DensityEstimator::EvaluateExcludingSelvesBatch(
-    const double* rows, const double* selves, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  if (count <= 0) return Status::Ok();
-  const int d = dim();
-  auto shard = [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      out[i] = EvaluateExcluding(data::PointView(rows + i * d, d),
-                                 data::PointView(selves + i * d, d));
-    }
+    EvaluateRange(rows, selves, begin, end, out);
   };
   if (executor != nullptr) return executor->ParallelFor(count, shard);
   shard(0, count);

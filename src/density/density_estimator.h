@@ -31,23 +31,27 @@ class DensityEstimator {
   // out[i] = Evaluate(row i), BITWISE — batching (and sharding across
   // `executor`'s workers, when one is supplied) is an execution detail, not
   // a semantic one, because every point is evaluated independently with the
-  // same per-point arithmetic. Backends override this to amortize per-point
-  // work (see Kde); the default is the scalar loop. With an executor the
-  // call can fail with kUnavailable under queue backpressure, in which case
-  // `out` contents are unspecified; without one it always succeeds. Must
-  // not be called from an executor worker thread (ParallelFor blocks).
-  [[nodiscard]] virtual Status EvaluateBatch(const double* rows, int64_t count, double* out,
-                               parallel::BatchExecutor* executor =
-                                   nullptr) const;
+  // same per-point arithmetic. With an executor the call can fail with
+  // kUnavailable under queue backpressure, in which case `out` contents are
+  // unspecified; without one it always succeeds. Must not be called from an
+  // executor worker thread (ParallelFor blocks).
+  [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count,
+                                     double* out,
+                                     parallel::BatchExecutor* executor =
+                                         nullptr) const {
+    return EvaluateRows(rows, /*selves=*/nullptr, count, out, executor);
+  }
 
   // Batch leave-one-out evaluation: out[i] = EvaluateExcluding(row i,
   // row i), i.e. each point excludes its own contribution — the form the
   // outlier scorer consumes. Same bitwise/backpressure contract as
   // EvaluateBatch.
-  [[nodiscard]] virtual Status EvaluateExcludingBatch(const double* rows, int64_t count,
-                                        double* out,
-                                        parallel::BatchExecutor* executor =
-                                            nullptr) const;
+  [[nodiscard]] Status EvaluateExcludingBatch(const double* rows,
+                                              int64_t count, double* out,
+                                              parallel::BatchExecutor*
+                                                  executor = nullptr) const {
+    return EvaluateRows(rows, /*selves=*/rows, count, out, executor);
+  }
 
   // Batch leave-one-out evaluation against EXPLICIT exclusion points:
   // out[i] = EvaluateExcluding(row i of `rows`, row i of `selves`), where
@@ -55,11 +59,11 @@ class DensityEstimator {
   // the QMC ball integrator consumes: every probe row excludes the mass of
   // the ball CENTER it was expanded from, not the probe location itself.
   // Same bitwise/backpressure contract as EvaluateBatch.
-  [[nodiscard]] virtual Status EvaluateExcludingSelvesBatch(const double* rows,
-                                              const double* selves,
-                                              int64_t count, double* out,
-                                              parallel::BatchExecutor*
-                                                  executor = nullptr) const;
+  [[nodiscard]] Status EvaluateExcludingSelvesBatch(
+      const double* rows, const double* selves, int64_t count, double* out,
+      parallel::BatchExecutor* executor = nullptr) const {
+    return EvaluateRows(rows, selves, count, out, executor);
+  }
 
   // Number of data points the estimator was built over (the approximate
   // integral of Evaluate over the whole domain).
@@ -82,6 +86,23 @@ class DensityEstimator {
     (void)self;
     return Evaluate(x);
   }
+
+ protected:
+  // The one batch kernel a backend supplies: fills out[begin, end) for the
+  // row-major `rows`, where `selves` is a parallel exclusion array indexed
+  // like `rows` (row i excludes selves + i * dim()), or nullptr to exclude
+  // nothing. Must equal the scalar calls bitwise and touch no other slot of
+  // `out`, so ranges can run concurrently. The default is the scalar loop;
+  // backends override it to amortize per-point work (see Kde).
+  virtual void EvaluateRange(const double* rows, const double* selves,
+                             int64_t begin, int64_t end, double* out) const;
+
+ private:
+  // The batch dispatch behind the three wrappers: EvaluateRange over
+  // [0, count), sharded across `executor` when one is supplied.
+  [[nodiscard]] Status EvaluateRows(const double* rows, const double* selves,
+                                    int64_t count, double* out,
+                                    parallel::BatchExecutor* executor) const;
 };
 
 }  // namespace dbs::density

@@ -140,8 +140,9 @@ double GridDensity::EvaluateExcluding(data::PointView x,
   return static_cast<double>(count) / cell_volume_;
 }
 
-void GridDensity::BatchRange(const double* rows, const double* selves,
-                             int64_t begin, int64_t end, double* out) const {
+void GridDensity::EvaluateRange(const double* rows, const double* selves,
+                                int64_t begin, int64_t end,
+                                double* out) const {
   const int d = dim_;
   const int64_t n = end - begin;
   // Sort the range's points by bucket id; Evaluate depends only on the
@@ -175,32 +176,6 @@ void GridDensity::BatchRange(const double* rows, const double* selves,
     }
     g = h;
   }
-}
-
-Status GridDensity::EvaluateBatch(const double* rows, int64_t count,
-                                  double* out,
-                                  parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/nullptr, count, out,
-                                      executor);
-}
-
-Status GridDensity::EvaluateExcludingBatch(
-    const double* rows, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/rows, count, out,
-                                      executor);
-}
-
-Status GridDensity::EvaluateExcludingSelvesBatch(
-    const double* rows, const double* selves, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  if (count <= 0) return Status::Ok();
-  auto shard = [&](int64_t begin, int64_t end) {
-    BatchRange(rows, selves, begin, end, out);
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
 }
 
 double GridDensity::SumCountPow(double e) const {

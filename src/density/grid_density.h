@@ -57,25 +57,6 @@ class GridDensity final : public DensityEstimator {
   double EvaluateExcluding(data::PointView x,
                            data::PointView self) const override;
 
-  // Cell-sorted batch overrides, mirroring the Kde flat-table design
-  // (kde.h): queries are sorted by bucket id so each bucket group pays for
-  // its count lookup and count/cell_volume_ division ONCE instead of per
-  // point. Identical operands give identical doubles, so results stay
-  // bitwise equal to the scalar calls; same executor/backpressure contract
-  // as the base class.
-  [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count, double* out,
-                       parallel::BatchExecutor* executor =
-                           nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingBatch(const double* rows, int64_t count,
-                                double* out,
-                                parallel::BatchExecutor* executor =
-                                    nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingSelvesBatch(const double* rows,
-                                      const double* selves, int64_t count,
-                                      double* out,
-                                      parallel::BatchExecutor* executor =
-                                          nullptr) const override;
-
   // Merged count of the bucket that p's cell hashes to.
   int64_t CellCount(data::PointView p) const;
 
@@ -97,13 +78,17 @@ class GridDensity final : public DensityEstimator {
   double cell_volume() const { return cell_volume_; }
   const data::BoundingBox& bounds() const { return bounds_; }
 
+ protected:
+  // Cell-sorted batch kernel, mirroring the Kde flat-table design (kde.h):
+  // queries are sorted by bucket id so each bucket group pays for its count
+  // lookup and count/cell_volume_ division ONCE instead of per point.
+  // Identical operands give identical doubles, so results stay bitwise
+  // equal to the scalar calls.
+  void EvaluateRange(const double* rows, const double* selves, int64_t begin,
+                     int64_t end, double* out) const override;
+
  private:
   GridDensity() = default;
-
-  // Bucket-sorted evaluation of one contiguous range; `selves` is a
-  // parallel exclusion array indexed like `rows` (nullptr = none).
-  void BatchRange(const double* rows, const double* selves, int64_t begin,
-                  int64_t end, double* out) const;
 
   int dim_ = 0;
   int cells_per_dim_ = 0;

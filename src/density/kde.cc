@@ -415,34 +415,13 @@ void Kde::BatchRangeTree(const double* rows, const double* selves,
       });
 }
 
-Status Kde::EvaluateBatch(const double* rows, int64_t count, double* out,
-                          parallel::BatchExecutor* executor) const {
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/nullptr, count, out,
-                                      executor);
-}
-
-Status Kde::EvaluateExcludingBatch(const double* rows, int64_t count,
-                                   double* out,
-                                   parallel::BatchExecutor* executor) const {
-  // Leave-one-out: every row excludes itself.
-  return EvaluateExcludingSelvesBatch(rows, /*selves=*/rows, count, out,
-                                      executor);
-}
-
-Status Kde::EvaluateExcludingSelvesBatch(
-    const double* rows, const double* selves, int64_t count, double* out,
-    parallel::BatchExecutor* executor) const {
-  if (count <= 0) return Status::Ok();
-  auto shard = [&](int64_t begin, int64_t end) {
-    if (indexed_) {
-      BatchRangeIndexed(rows, selves, begin, end, out);
-    } else {
-      BatchRangeTree(rows, selves, begin, end, out);
-    }
-  };
-  if (executor != nullptr) return executor->ParallelFor(count, shard);
-  shard(0, count);
-  return Status::Ok();
+void Kde::EvaluateRange(const double* rows, const double* selves,
+                        int64_t begin, int64_t end, double* out) const {
+  if (indexed_) {
+    BatchRangeIndexed(rows, selves, begin, end, out);
+  } else {
+    BatchRangeTree(rows, selves, begin, end, out);
+  }
 }
 
 double Kde::MeanDensityPow(double a, parallel::BatchExecutor* executor)
@@ -481,7 +460,7 @@ Kde::State Kde::ExportState() const {
   return state;
 }
 
-Result<Kde> Kde::FromState(State state, bool rebuild_index) {
+Result<Kde> Kde::FromState(State state) {
   if (state.n <= 0) {
     return Status::InvalidArgument("state has non-positive point count");
   }
@@ -516,7 +495,7 @@ Result<Kde> Kde::FromState(State state, bool rebuild_index) {
                      static_cast<double>(kde.centers_.size()) * inv_h_prod;
   kde.support_radius_ = KernelSupportRadius(kde.kernel_);
   kde.BuildSoA();
-  if (rebuild_index && dim <= kMaxIndexDim) {
+  if (dim <= kMaxIndexDim) {
     kde.BuildIndex();
   } else {
     kde.center_tree_ = CenterTree(kde.centers_);

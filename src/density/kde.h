@@ -13,24 +13,27 @@
 // Because the Epanechnikov kernel has compact support, centers are bucketed
 // into a uniform grid with cells the size of the support box; evaluating
 // f(x) then touches only the 3^d cells around x instead of all m centers.
-// The index is an internal acceleration only — results are identical with it
-// on or off (bench/micro_kde ablates the speedup). Two structural choices
-// make the hot path fast (DESIGN.md §9):
+// The index is built iff dim <= 6. It changes the order in which centers
+// are summed (bucket by bucket instead of ascending), so indexed results
+// agree with the all-center sum EvaluateBrute only to rounding, not
+// bitwise; every batch path is bitwise equal to the scalar Evaluate of the
+// same model. Two structural choices make the hot path fast (DESIGN.md §9):
 //
 //   * The grid is a flat open-addressed table: bucket contents live
 //     contiguously in one array, looked up by linear probing instead of
 //     chasing unordered_map nodes, and the {-1,0,1}^d neighbor-offset
 //     pattern is precomputed once at BuildIndex time instead of being
 //     re-enumerated per evaluation.
-//   * EvaluateBatch sorts query points by grid cell, gathers each cell
+//   * The batch path sorts query points by grid cell, gathers each cell
 //     group's neighborhood once into a contiguous SoA tile (dim × tile
 //     arrays) and runs a branch-light, auto-vectorizable product-kernel
 //     loop over it — bitwise identical to per-point Evaluate, per-point
 //     independent, and therefore shardable across executor workers.
 //
-// Without the grid index (dim > 6, or use_grid_index = false) the batch
-// paths run through a kd-tree over the centers instead (density/
-// center_tree.h, DESIGN.md §15), bitwise identical to EvaluateBrute.
+// Above 6 dims the 3^d neighborhood stops paying for itself: there scalar
+// Evaluate is EvaluateBrute and the batch path runs through a kd-tree over
+// the centers instead (density/center_tree.h, DESIGN.md §15), bitwise
+// identical to it.
 
 #ifndef DBS_DENSITY_KDE_H_
 #define DBS_DENSITY_KDE_H_
@@ -66,8 +69,6 @@ struct KdeOptions {
   double bandwidth_scale = 1.0;
   // Seed for the center-sampling reservoir.
   uint64_t seed = 1;
-  // Build the compact-support grid index (identical results, faster eval).
-  bool use_grid_index = true;
 };
 
 class Kde final : public DensityEstimator {
@@ -100,21 +101,6 @@ class Kde final : public DensityEstimator {
   double EvaluateExcluding(data::PointView x,
                            data::PointView self) const override;
 
-  // Tuned batch paths (see header comment): bitwise identical to the
-  // per-point calls, kUnavailable only under executor backpressure.
-  [[nodiscard]] Status EvaluateBatch(const double* rows, int64_t count, double* out,
-                       parallel::BatchExecutor* executor =
-                           nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingBatch(const double* rows, int64_t count,
-                                double* out,
-                                parallel::BatchExecutor* executor =
-                                    nullptr) const override;
-  [[nodiscard]] Status EvaluateExcludingSelvesBatch(const double* rows,
-                                      const double* selves, int64_t count,
-                                      double* out,
-                                      parallel::BatchExecutor* executor =
-                                          nullptr) const override;
-
   // Average of Evaluate(c)^a over the kernel centers. Since the centers are
   // a uniform sample of the data, n * MeanDensityPow(a) is an unbiased
   // estimate of the normalizer k_a = sum_x f(x)^a — the quantity the
@@ -135,7 +121,9 @@ class Kde final : public DensityEstimator {
   const std::vector<double>& bandwidths() const { return bandwidths_; }
   const data::BoundingBox& bounds() const { return bounds_; }
 
-  // Evaluates with the grid index disabled (for testing/ablation).
+  // Sums all m centers in ascending order, ignoring the grid index: the
+  // reference the indexed paths agree with to rounding, and Evaluate itself
+  // above 6 dims.
   double EvaluateBrute(data::PointView p) const;
 
   // Serialization support (see density/kde_io.h): a value-type snapshot of
@@ -148,7 +136,13 @@ class Kde final : public DensityEstimator {
     data::BoundingBox bounds;
   };
   State ExportState() const;
-  [[nodiscard]] static Result<Kde> FromState(State state, bool rebuild_index = true);
+  [[nodiscard]] static Result<Kde> FromState(State state);
+
+ protected:
+  // The tuned batch kernel (see header comment): BatchRangeIndexed with the
+  // grid index, BatchRangeTree without.
+  void EvaluateRange(const double* rows, const double* selves, int64_t begin,
+                     int64_t end, double* out) const override;
 
  private:
   struct TileScratch;
@@ -212,7 +206,8 @@ class Kde final : public DensityEstimator {
   // centers_[i][j]); the gather source of both batch paths.
   std::vector<double> centers_soa_;
 
-  // kd-tree over the centers: the batch path when indexed_ is false.
+  // kd-tree over the centers: the batch path when indexed_ is false
+  // (dim > 6).
   CenterTree center_tree_;
 };
 

@@ -56,7 +56,7 @@ bool ReadDoubles(std::FILE* f, double* data, size_t count) {
   return Status::Ok();
 }
 
-[[nodiscard]] Result<Kde> LoadKde(const std::string& path, bool rebuild_index) {
+[[nodiscard]] Result<Kde> LoadKde(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IoError("cannot open for reading: " + path);
@@ -123,7 +123,7 @@ bool ReadDoubles(std::FILE* f, double* data, size_t count) {
   for (int64_t i = 0; i < header.num_centers; ++i) {
     state.centers.Append(centers.data() + i * dim);
   }
-  return Kde::FromState(std::move(state), rebuild_index);
+  return Kde::FromState(std::move(state));
 }
 
 }  // namespace dbs::density

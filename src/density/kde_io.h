@@ -23,9 +23,9 @@ inline constexpr uint32_t kKdeVersion = 1;
 // Writes the fitted model to `path` (overwrites).
 [[nodiscard]] Status SaveKde(const Kde& kde, const std::string& path);
 
-// Loads a model saved by SaveKde. `rebuild_index` controls whether the
-// compact-support grid index is rebuilt (identical results either way).
-[[nodiscard]] Result<Kde> LoadKde(const std::string& path, bool rebuild_index = true);
+// Loads a model saved by SaveKde; the loaded model evaluates bitwise like
+// the saved one (Kde::FromState rebuilds the same evaluator).
+[[nodiscard]] Result<Kde> LoadKde(const std::string& path);
 
 }  // namespace dbs::density
 

@@ -160,7 +160,7 @@ Result<PartialKde> Kde::FitPartial(data::DataScan& scan,
   for (double& h : state.bandwidths) h *= options.bandwidth_scale;
   state.centers = std::move(centers);
   state.bounds = std::move(bounds);
-  return Kde::FromState(std::move(state), options.use_grid_index);
+  return Kde::FromState(std::move(state));
 }
 
 }  // namespace dbs::density

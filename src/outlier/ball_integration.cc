@@ -25,7 +25,7 @@ bool TryL2Point(uint64_t index, int dim, double* out) {
 // (t_1..t_d) uniform over the standard simplex; random signs extend it to
 // the cross-polytope. Consumes 2d+1 Halton bases.
 void L1Point(uint64_t index, int dim, double* out) {
-  DBS_CHECK(dim <= 7);
+  DBS_CHECK(dim <= kMaxL1QmcDim);
   double g_sum = 0.0;
   double g[8];
   for (int j = 0; j < dim; ++j) {
@@ -48,6 +48,20 @@ void LinfPoint(uint64_t index, int dim, double* out) {
 }
 
 }  // namespace
+
+[[nodiscard]] Status ValidateBallIntegrator(BallIntegration method, int dim,
+                                            int num_samples,
+                                            data::Metric metric) {
+  if (num_samples <= 0) {
+    return Status::InvalidArgument("qmc_samples must be positive");
+  }
+  if (method == BallIntegration::kQuasiMonteCarlo &&
+      metric == data::Metric::kL1 && dim > kMaxL1QmcDim) {
+    return Status::InvalidArgument(
+        "L1 quasi-Monte-Carlo integration supports at most 7 dimensions");
+  }
+  return Status::Ok();
+}
 
 BallIntegrator::BallIntegrator(BallIntegration method, int dim,
                                int num_samples, data::Metric metric)

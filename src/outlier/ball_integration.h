@@ -20,6 +20,7 @@
 #include "data/distance.h"
 #include "data/point_set.h"
 #include "density/density_estimator.h"
+#include "util/status.h"
 
 namespace dbs::outlier {
 
@@ -28,11 +29,22 @@ enum class BallIntegration {
   kQuasiMonteCarlo,
 };
 
+// L1 quasi-Monte-Carlo probes consume 2d+1 Halton bases each, which caps
+// that combination at this many dimensions.
+inline constexpr int kMaxL1QmcDim = 7;
+
+// Rejects the arguments a BallIntegrator cannot be built from: a
+// non-positive sample count (checked for either method, as every caller
+// takes it as an option), and L1 quasi-Monte-Carlo above kMaxL1QmcDim dims.
+[[nodiscard]] Status ValidateBallIntegrator(BallIntegration method, int dim,
+                                            int num_samples,
+                                            data::Metric metric);
+
 class BallIntegrator {
  public:
   // `num_samples` applies to the quasi-Monte-Carlo method only. The metric
-  // selects the ball shape (L2 ball, L1 cross-polytope, Linf cube); L1
-  // quasi-Monte-Carlo supports dim <= 7 (it consumes 2d+1 Halton bases).
+  // selects the ball shape (L2 ball, L1 cross-polytope, Linf cube). The
+  // arguments must pass ValidateBallIntegrator.
   BallIntegrator(BallIntegration method, int dim, int num_samples = 64,
                  data::Metric metric = data::Metric::kL2);
 

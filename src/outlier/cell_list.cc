@@ -21,16 +21,10 @@ namespace {
 // count (computed per-axis gap <= radius * (1 + O(eps))) maps to scaled
 // coordinates less than 1 - 2^-21 apart before rounding, while the rounding
 // error of floor((x - lo) * inv_side) is bounded by a few ulps of the cell
-// coordinate — at most ~2^-28 given the 2^22 per-dimension cell cap below —
-// leaving the margin intact. floor(u_a) - floor(u_b) <= 1 then follows from
+// coordinate — at most ~2^-29 given the 2^21 cell cap (kCellListMaxCells
+// bounds every axis too) — leaving the margin intact. floor(u_a) - floor(u_b) <= 1 then follows from
 // u_a - u_b < 1.
 constexpr double kSideInflate = 1.0 + 0x1p-20;
-
-// Per-dimension cell-count ceiling backing the error budget above; also
-// bounds the flat index math far away from int64 overflow. Inputs needing
-// more cells on one axis fall back to the kd-tree path regardless of
-// options.max_grid_cells.
-constexpr int64_t kMaxCellsPerDim = int64_t{1} << 22;
 
 // Tile positions scanned between early-abort checks; also the vectorization
 // width of the SoA kernel's per-axis inner loop.
@@ -71,8 +65,7 @@ int64_t CellCoord(double x, double lo, double inv_side, int64_t cells_j) {
 // Builds the grid, or returns false when the input needs more cells than
 // the caps allow (tiny radius or extreme aspect ratio) and the caller
 // should take the kd-tree fallback instead.
-bool BuildGrid(const data::PointSet& points, double radius,
-               int64_t max_grid_cells, Grid* grid) {
+bool BuildGrid(const data::PointSet& points, double radius, Grid* grid) {
   const int64_t n = points.size();
   const int dim = points.dim();
   data::BoundingBox box(dim);
@@ -83,14 +76,13 @@ bool BuildGrid(const data::PointSet& points, double radius,
   grid->inv_side = 1.0 / side;
   grid->lo.assign(box.lo().begin(), box.lo().end());
   grid->cells.resize(static_cast<size_t>(dim));
-  const int64_t cap_per_dim = std::min(kMaxCellsPerDim, max_grid_cells);
   int64_t total = 1;
   for (int j = 0; j < dim; ++j) {
     // Compare before casting: extent / side can exceed what int64 holds.
     double t = std::floor(box.extent(j) * grid->inv_side);
-    if (!(t < static_cast<double>(cap_per_dim))) return false;
+    if (!(t < static_cast<double>(kCellListMaxCells))) return false;
     int64_t cells_j = (t > 0.0 ? static_cast<int64_t>(t) : 0) + 1;
-    if (total > max_grid_cells / cells_j) return false;
+    if (total > kCellListMaxCells / cells_j) return false;
     total *= cells_j;
     grid->cells[static_cast<size_t>(j)] = cells_j;
   }
@@ -236,13 +228,7 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
 [[nodiscard]] Result<OutlierReport> DetectOutliersCellList(
     const data::PointSet& points, const DbOutlierParams& params,
     const CellListDetectorOptions& options) {
-  DBS_RETURN_IF_ERROR(ValidateExactDetectorArgs(points, params));
-  if (options.max_grid_dim < 1) {
-    return Status::InvalidArgument("max_grid_dim must be at least 1");
-  }
-  if (options.max_grid_cells < 1) {
-    return Status::InvalidArgument("max_grid_cells must be at least 1");
-  }
+  DBS_RETURN_IF_ERROR(ValidateDetectorArgs(points.size(), params));
   if (options.stats != nullptr) *options.stats = CellListStats{};
 
   const int64_t n = points.size();
@@ -250,14 +236,13 @@ int64_t ScanTile(const double* soa, int64_t n, int dim, int64_t tile_begin,
   const int64_t p = params.NeighborBound(n);
 
   Grid grid;
-  // A zero radius means a zero bin side; above max_grid_dim the 3^d
+  // A zero radius means a zero bin side; above kCellListMaxDim the 3^d
   // neighborhood stops paying for itself. BuildGrid additionally rejects
   // inputs whose bounding box needs more bins than the caps allow. All
   // three cases delegate to the kd-tree detector, which shares the
   // identical-report contract by construction.
-  const bool grid_ok = params.radius > 0 && dim <= options.max_grid_dim &&
-                       BuildGrid(points, params.radius, options.max_grid_cells,
-                                 &grid);
+  const bool grid_ok = params.radius > 0 && dim <= kCellListMaxDim &&
+                       BuildGrid(points, params.radius, &grid);
   if (!grid_ok) {
     if (options.stats != nullptr) options.stats->used_fallback = true;
     ExactDetectorOptions fallback;

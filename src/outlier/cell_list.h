@@ -31,9 +31,9 @@
 // because cells shard over the executor with disjoint per-point count
 // slots and a sequential assembly sweep — at any worker count.
 //
-// Inputs the grid cannot serve (dimension above max_grid_dim, radius 0, or
-// a bounding box needing more than max_grid_cells bins) fall back to the
-// kd-tree detector, preserving the identical-report contract trivially.
+// Inputs the grid cannot serve (dimension above kCellListMaxDim, radius 0,
+// or a bounding box needing more than kCellListMaxCells bins) fall back to
+// the kd-tree detector, preserving the identical-report contract trivially.
 
 #ifndef DBS_OUTLIER_CELL_LIST_H_
 #define DBS_OUTLIER_CELL_LIST_H_
@@ -49,6 +49,13 @@ class BatchExecutor;
 }  // namespace dbs::parallel
 
 namespace dbs::outlier {
+
+// Dimensions above this fall back to the kd-tree path (the 3^d
+// neighborhood and the grid itself grow exponentially with d).
+inline constexpr int kCellListMaxDim = 6;
+// Upper bound on allocated grid bins; boxes needing more (tiny radius or
+// extreme aspect ratio) fall back to the kd-tree path.
+inline constexpr int64_t kCellListMaxCells = int64_t{1} << 21;
 
 // Prune accounting for one DetectOutliersCellList run. Deterministic for a
 // fixed input at any worker count: every counter is a sum of per-cell
@@ -66,7 +73,7 @@ struct CellListStats {
   // Point-pair distance evaluations performed by the SoA kernel.
   int64_t pairwise_evaluated = 0;
   // True when the kd-tree fallback ran instead of the grid (high dimension,
-  // radius 0, or the grid would exceed max_grid_cells). All other counters
+  // radius 0, or the grid would exceed kCellListMaxCells). All other counters
   // are zero in that case.
   bool used_fallback = false;
 };
@@ -78,12 +85,6 @@ struct CellListDetectorOptions {
   // assembled in one sequential index-ascending sweep, so output is
   // identical with 0, 1 or N workers. kUnavailable under backpressure.
   parallel::BatchExecutor* executor = nullptr;
-  // Dimensions above this cap fall back to the kd-tree path (the 3^d
-  // neighborhood and the grid itself grow exponentially with d).
-  int max_grid_dim = 6;
-  // Upper bound on allocated grid bins; boxes needing more (tiny radius or
-  // extreme aspect ratio) fall back to the kd-tree path.
-  int64_t max_grid_cells = int64_t{1} << 21;
   // Optional prune accounting (not owned); filled when non-null.
   CellListStats* stats = nullptr;
 };

@@ -17,7 +17,7 @@ namespace dbs::outlier {
 [[nodiscard]] Result<OutlierReport> DetectOutliersExact(
     const data::PointSet& points, const DbOutlierParams& params,
     const ExactDetectorOptions& options) {
-  DBS_RETURN_IF_ERROR(ValidateExactDetectorArgs(points, params));
+  DBS_RETURN_IF_ERROR(ValidateDetectorArgs(points.size(), params));
   const int64_t n = points.size();
   const int64_t p = params.NeighborBound(n);
 
@@ -63,7 +63,7 @@ namespace dbs::outlier {
 [[nodiscard]] Result<OutlierReport> DetectOutliersNestedLoop(
     const data::PointSet& points, const DbOutlierParams& params,
     const ExactDetectorOptions& options) {
-  DBS_RETURN_IF_ERROR(ValidateExactDetectorArgs(points, params));
+  DBS_RETURN_IF_ERROR(ValidateDetectorArgs(points.size(), params));
   const int64_t n = points.size();
   const int64_t p = params.NeighborBound(n);
 

@@ -4,36 +4,27 @@
 #include <vector>
 
 #include "data/kd_tree.h"
+#include "outlier/detector_params.h"
 
 namespace dbs::outlier {
 namespace {
 
-[[nodiscard]] Status ValidateArgs(const data::DataScan& scan,
-                    const density::DensityEstimator& estimator,
-                    const DbOutlierParams& params,
-                    const KdeDetectorOptions& options) {
-  if (scan.size() == 0) {
-    return Status::InvalidArgument("cannot detect outliers in an empty set");
-  }
+// The one argument check of every KDE-detector entry point; `rows` is the
+// dataset's total row count (a shard's scan covers only its slice).
+[[nodiscard]] Status ValidateArgs(int64_t rows, const data::DataScan& scan,
+                                  const density::DensityEstimator& estimator,
+                                  const DbOutlierParams& params,
+                                  const KdeDetectorOptions& options) {
+  DBS_RETURN_IF_ERROR(ValidateDetectorArgs(rows, params));
   if (scan.dim() != estimator.dim()) {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
   }
-  if (params.radius < 0) {
-    return Status::InvalidArgument("radius cannot be negative");
-  }
-  if (params.max_neighbor_fraction > 1) {
-    return Status::InvalidArgument("neighbor fraction cannot exceed 1");
-  }
-  if (params.max_neighbor_fraction < 0 && params.max_neighbors < 0) {
-    return Status::InvalidArgument("neighbor bound cannot be negative");
-  }
   if (options.candidate_slack <= 0) {
     return Status::InvalidArgument("candidate_slack must be positive");
   }
-  if (options.qmc_samples <= 0) {
-    return Status::InvalidArgument("qmc_samples must be positive");
-  }
+  DBS_RETURN_IF_ERROR(ValidateBallIntegrator(
+      options.integration, scan.dim(), options.qmc_samples, params.metric));
   if (options.max_candidates <= 0) {
     return Status::InvalidArgument("max_candidates must be positive");
   }
@@ -48,8 +39,7 @@ namespace {
   // Detection is the single-shard instance of the partial pipeline
   // (DESIGN.md §12): the scoring and counting loops below moved verbatim
   // into the partial functions, so the sharded detector at any shard count
-  // and this entry point produce identical reports.
-  DBS_RETURN_IF_ERROR(ValidateArgs(scan, estimator, params, options));
+  // and this entry point produce identical reports (the partial validates).
   ShardInfo info;
   info.total_rows = scan.size();
   DBS_ASSIGN_OR_RETURN(
@@ -73,31 +63,8 @@ namespace {
     data::DataScan& scan, const density::DensityEstimator& estimator,
     const DbOutlierParams& params, const KdeDetectorOptions& options,
     const ShardInfo& info) {
-  if (info.total_rows == 0) {
-    return Status::InvalidArgument("cannot detect outliers in an empty set");
-  }
-  if (scan.dim() != estimator.dim()) {
-    return Status::InvalidArgument(
-        "estimator dimensionality does not match the scan");
-  }
-  if (params.radius < 0) {
-    return Status::InvalidArgument("radius cannot be negative");
-  }
-  if (params.max_neighbor_fraction > 1) {
-    return Status::InvalidArgument("neighbor fraction cannot exceed 1");
-  }
-  if (params.max_neighbor_fraction < 0 && params.max_neighbors < 0) {
-    return Status::InvalidArgument("neighbor bound cannot be negative");
-  }
-  if (options.candidate_slack <= 0) {
-    return Status::InvalidArgument("candidate_slack must be positive");
-  }
-  if (options.qmc_samples <= 0) {
-    return Status::InvalidArgument("qmc_samples must be positive");
-  }
-  if (options.max_candidates <= 0) {
-    return Status::InvalidArgument("max_candidates must be positive");
-  }
+  DBS_RETURN_IF_ERROR(
+      ValidateArgs(info.total_rows, scan, estimator, params, options));
   DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
   const RowRange range =
       ShardRowRange(info.total_rows, info.num_shards, info.shard);
@@ -312,7 +279,8 @@ namespace {
 [[nodiscard]] Result<int64_t> EstimateOutlierCount(
     data::DataScan& scan, const density::DensityEstimator& estimator,
     const DbOutlierParams& params, const KdeDetectorOptions& options) {
-  DBS_RETURN_IF_ERROR(ValidateArgs(scan, estimator, params, options));
+  DBS_RETURN_IF_ERROR(
+      ValidateArgs(scan.size(), scan, estimator, params, options));
   const int dim = scan.dim();
   const int64_t p = params.NeighborBound(scan.size());
   const BallIntegrator integrator(options.integration, dim,

@@ -27,9 +27,6 @@ Result<std::unique_ptr<Server>> Server::Start(ModelService* service,
   if (service == nullptr) {
     return Status::InvalidArgument("server requires a service");
   }
-  if (options.shm_drain_batch < 1) {
-    return Status::InvalidArgument("shm_drain_batch must be at least 1");
-  }
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return SocketError("socket");
 
@@ -58,11 +55,9 @@ Result<std::unique_ptr<Server>> Server::Start(ModelService* service,
       new Server(  // dbs-lint: allow(raw-alloc): private ctor
           service, fd, ntohs(addr.sin_port), options));
   if (options.enable_shm) {
-    ShmServerDrain::Options drain_options;
-    drain_options.drain_batch = options.shm_drain_batch;
     server->drain_ = std::make_unique<ShmServerDrain>(
         service, [raw = server.get()] { raw->RequestShutdown(); },
-        drain_options);
+        ShmServerDrain::Options{});
   }
   server->acceptor_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
   return server;

@@ -47,8 +47,6 @@ struct ServerOptions {
   // Accept kShmAttachRequest upgrades. Off = attach requests are answered
   // with kFailedPrecondition and clients fall back to TCP.
   bool enable_shm = true;
-  // Frames the drain thread pops per session per sweep.
-  int shm_drain_batch = 32;
 };
 
 class Server {

@@ -8,6 +8,7 @@
 #include "data/dataset_io.h"
 #include "data/range_scan.h"
 #include "outlier/ball_integration.h"
+#include "outlier/detector_params.h"
 #include "util/shard.h"
 #include "util/stats.h"
 
@@ -148,12 +149,15 @@ Result<OutlierScoreBatchResponse> ModelService::OutlierScores(
   Status valid =
       ValidatePoints(request.points, (*model)->dim(), request.model);
   if (!valid.ok()) return fail(valid);
-  if (request.radius < 0) {
-    return fail(Status::InvalidArgument("radius cannot be negative"));
+  // Checked here, not left to the integrator, whose constructor and calls
+  // assert these arguments rather than returning a Status.
+  Status args = outlier::ValidateRadius(request.radius);
+  if (args.ok()) {
+    args = outlier::ValidateBallIntegrator(
+        request.integration, request.points.dim(), request.qmc_samples,
+        request.metric);
   }
-  if (request.qmc_samples <= 0) {
-    return fail(Status::InvalidArgument("qmc_samples must be positive"));
-  }
+  if (!args.ok()) return fail(args);
   if (request.max_neighbors < 0) {
     return fail(Status::InvalidArgument("max_neighbors cannot be negative"));
   }

@@ -10,9 +10,6 @@
 #include "core/biased_sampler.h"
 #include "data/point_set.h"
 #include "density/kde.h"
-#include "eval/sample_quality.h"
-#include "parallel/batch_executor.h"
-#include "util/check.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -56,11 +53,6 @@ TEST(StreamingSamplerTest, RejectsBadOptions) {
   StreamingSamplerOptions kernels;
   kernels.num_kernels = 0;
   EXPECT_FALSE(StreamingBiasedSample(ps, kernels).ok());
-  StreamingSamplerOptions cadence;
-  cadence.rebuild_cadence = 0;
-  EXPECT_FALSE(StreamingBiasedSample(ps, cadence).ok());
-  cadence.rebuild_cadence = -3;
-  EXPECT_FALSE(StreamingBiasedSample(ps, cadence).ok());
   EXPECT_FALSE(StreamingBiasedSample(PointSet(2), StreamingSamplerOptions{})
                    .ok());
 }
@@ -228,16 +220,14 @@ TEST(StreamingSamplerTest, WarmupPointsSampledUniformly) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen golden sample, captured from the PRE-BATCHING streaming sampler.
+// Frozen golden sample, captured from the per-point streaming sampler
+// (evaluate against the prefix estimator, floor, decide, then absorb).
 //
-// The batch wiring (window scored through EvaluateBatch against the
-// estimator frozen at window start, Observes deferred to the end of the
-// window) must reproduce the old per-point path byte-for-byte at the
-// default rebuild_cadence of 1: same sample size, same normalizer bits,
-// same point bytes, same inclusion-probability bytes. The hashes below were
-// printed by the pre-batching tree, so a refactor that drifts the sampler
-// arithmetic — even in a way that keeps the sample statistically sound —
-// cannot slip past this test.
+// Any rewrite of the sampler must reproduce it byte-for-byte: same sample
+// size, same normalizer bits, same point bytes, same inclusion-probability
+// bytes. The hashes below were printed by the original per-point tree, so a
+// refactor that drifts the sampler arithmetic — even in a way that keeps
+// the sample statistically sound — cannot slip past this test.
 
 uint64_t Fnv1a(const double* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
@@ -311,106 +301,6 @@ TEST(StreamingGoldenTest, DefaultCadenceReproducesPreBatchingBytes) {
   auto sample = StreamingBiasedSample(ps, GoldenStreamOptions());
   ASSERT_TRUE(sample.ok());
   ExpectMatchesGolden(*sample);
-}
-
-TEST(StreamingGoldenTest, ExecutorShardingIsByteIdentical) {
-  // The batched window evaluation shards across the executor, but each
-  // point's density is computed independently with the same operands, and
-  // the RNG sweep stays sequential — so the sample is byte-identical to the
-  // executor-less run (and hence to the pre-batching goldens) under any
-  // worker count.
-  PointSet ps = GoldenStream();
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
-    parallel::BatchExecutorOptions pool;
-    pool.num_workers = workers;
-    parallel::BatchExecutor executor(pool);
-    StreamingSamplerOptions opts = GoldenStreamOptions();
-    opts.executor = &executor;
-    auto sample = StreamingBiasedSample(ps, opts);
-    ASSERT_TRUE(sample.ok());
-    ExpectMatchesGolden(*sample);
-    executor.Shutdown();
-  }
-}
-
-TEST(StreamingGoldenTest, CadenceOneMatchesLargerWindowSizesOnDrawStream) {
-  // The reservoir's RNG draw stream is cadence-independent (one draw per
-  // Observe regardless of windowing), so per-seed determinism holds at
-  // every cadence even though the samples themselves legitimately differ:
-  // larger windows score points against a slightly staler estimator.
-  PointSet ps = GoldenStream();
-  for (int64_t cadence : {int64_t{7}, int64_t{64}}) {
-    SCOPED_TRACE(::testing::Message() << "cadence=" << cadence);
-    StreamingSamplerOptions opts = GoldenStreamOptions();
-    opts.rebuild_cadence = cadence;
-    auto a = StreamingBiasedSample(ps, opts);
-    auto b = StreamingBiasedSample(ps, opts);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    EXPECT_EQ(a->inclusion_probs, b->inclusion_probs);
-    EXPECT_EQ(Fnv1a(a->points.flat().data(), a->points.flat().size()),
-              Fnv1a(b->points.flat().data(), b->points.flat().size()));
-  }
-}
-
-TEST(StreamingSamplerTest, SampleQualityInsensitiveToRebuildCadence) {
-  // The cadence knob trades estimator freshness for batch width; it must
-  // not change what KIND of sample comes out. Kish's effective sample
-  // size, the weighted density-decile mass shares, and the HT cluster-mass
-  // estimate all have to land within a modest band of the cadence-1
-  // baseline across a wide cadence sweep.
-  PointSet ps = DenseSparseNoise(12000, 5000, 3000, 17);
-  StreamingSamplerOptions base;
-  base.a = 1.0;
-  base.target_size = 1000;
-  base.num_kernels = 300;
-  base.bandwidth_scale = 0.4;
-  base.seed = 23;
-
-  auto quality = [&](int64_t cadence) {
-    StreamingSamplerOptions opts = base;
-    opts.rebuild_cadence = cadence;
-    auto sample = StreamingBiasedSample(ps, opts);
-    DBS_CHECK(sample.ok());
-    struct Metrics {
-      double ess;
-      double cluster_mass;
-      double top_half_weighted_share;
-      int64_t size;
-    } m;
-    m.ess = eval::EffectiveSampleSize(*sample);
-    // The stream lives on the unit square, so average density ~1; 2x that
-    // is the "denser than average" threshold the header suggests.
-    m.cluster_mass = eval::EstimatedClusterMassFraction(*sample, 2.0);
-    eval::DecileShares shares = eval::DensityDecileShares(*sample);
-    m.top_half_weighted_share = 0.0;
-    for (size_t d = 5; d < shares.weighted_share.size(); ++d) {
-      m.top_half_weighted_share += shares.weighted_share[d];
-    }
-    m.size = sample->size();
-    return m;
-  };
-
-  const auto baseline = quality(1);
-  EXPECT_GT(baseline.ess, 0.0);
-  for (int64_t cadence : {int64_t{8}, int64_t{64}, int64_t{512}}) {
-    SCOPED_TRACE(::testing::Message() << "cadence=" << cadence);
-    const auto got = quality(cadence);
-    // Sizes track the same target.
-    EXPECT_NEAR(static_cast<double>(got.size),
-                static_cast<double>(baseline.size),
-                0.25 * static_cast<double>(baseline.size));
-    // Weight concentration (ESS as a fraction of the sample) is stable.
-    EXPECT_NEAR(got.ess / static_cast<double>(got.size),
-                baseline.ess / static_cast<double>(baseline.size), 0.15);
-    // The HT estimate of above-threshold dataset mass is stable.
-    EXPECT_NEAR(got.cluster_mass, baseline.cluster_mass, 0.12);
-    // Where the weighted mass lands across density deciles is stable.
-    EXPECT_NEAR(got.top_half_weighted_share, baseline.top_half_weighted_share,
-                0.12);
-  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Contract tests for the batched density paths: EvaluateBatch /
 // EvaluateExcludingBatch must be BITWISE identical to the per-point calls —
 // batching, cell-sorted SoA tiles, and executor sharding are execution
-// details, never semantic ones. Checked across all three estimator
-// backends, the KDE with the grid index on and off, 0/1/4 workers, and
-// against a frozen reference that forces every evaluation through the
-// pre-batching scalar virtuals.
+// details, never semantic ones. Checked across both estimator backends,
+// both KDE batch paths (the grid index up to 6 dims, the center tree
+// above), 0/1/4 workers, and against a frozen reference that forces every
+// evaluation through the pre-batching scalar virtuals.
 
 #include <cstring>
 #include <vector>
@@ -24,7 +24,8 @@ namespace dbs::density {
 namespace {
 
 // Forwards the scalar virtuals to a wrapped estimator but inherits the
-// DEFAULT batch implementations — i.e. exactly the per-point execution
+// DEFAULT batch kernel (DensityEstimator::EvaluateRange's scalar loop) —
+// i.e. exactly the per-point execution
 // every consumer used before the batch paths existed. Comparing a tuned
 // override against this wrapper pins the bitwise contract to the
 // pre-batching behavior, not to whatever both paths happen to share.
@@ -185,20 +186,6 @@ TEST_P(DensityBatchTest, KdeIndexedMatchesScalarBitwise) {
   KdeOptions opts;
   opts.num_kernels = 300;
   opts.seed = 3;
-  opts.use_grid_index = true;
-  auto kde = Kde::Fit(data, opts);
-  ASSERT_TRUE(kde.ok());
-  CheckEstimator(*kde, queries);
-}
-
-TEST_P(DensityBatchTest, KdeBruteMatchesScalarBitwise) {
-  const int dim = GetParam();
-  data::PointSet data = MakeData(dim, 4000, 12);
-  data::PointSet queries = MakeQueries(data, 2000);
-  KdeOptions opts;
-  opts.num_kernels = 300;
-  opts.seed = 3;
-  opts.use_grid_index = false;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
   CheckEstimator(*kde, queries);
@@ -216,6 +203,29 @@ TEST_P(DensityBatchTest, GridDensityMatchesScalarBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, DensityBatchTest, ::testing::Values(2, 3, 5));
+
+// Above 6 dims a Kde has no grid index: scalar Evaluate is the
+// ascending-center EvaluateBrute, and the batch path is the center tree.
+class KdeTreeBatchTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KdeTreeBatchTest, KdeBruteMatchesScalarBitwise) {
+  const int dim = GetParam();
+  data::PointSet data = MakeData(dim, 4000, 12);
+  data::PointSet queries = MakeQueries(data, 2000);
+  KdeOptions opts;
+  opts.num_kernels = 300;
+  opts.seed = 3;
+  auto kde = Kde::Fit(data, opts);
+  ASSERT_TRUE(kde.ok());
+  for (int64_t i = 0; i < queries.size(); ++i) {
+    const double scalar = kde->Evaluate(queries[i]);
+    const double brute = kde->EvaluateBrute(queries[i]);
+    ASSERT_EQ(std::memcmp(&scalar, &brute, sizeof(double)), 0) << i;
+  }
+  CheckEstimator(*kde, queries);
+}
+
+INSTANTIATE_TEST_SUITE_P(HighDims, KdeTreeBatchTest, ::testing::Values(7, 8));
 
 TEST(DensityBatchEdgeTest, EmptyBatchSucceeds) {
   data::PointSet data = MakeData(2, 1000, 15);

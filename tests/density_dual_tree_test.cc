@@ -1,16 +1,18 @@
-// Equivalence harness for Kde's unindexed batch path: the dual traversal
-// of spatial query tiles against the kd-tree over the kernel centers
-// (density/center_tree.h, DESIGN.md §15).
+// Equivalence harness for Kde's batch path above 6 dims: the dual
+// traversal of spatial query tiles against the kd-tree over the kernel
+// centers (density/center_tree.h, DESIGN.md §15).
 //
-// The contract under test: for a Kde without a grid index — dims above 6,
-// or use_grid_index = false — every batch entry point is BITWISE identical
-// to the scalar ascending-center paths, EvaluateBrute and
-// EvaluateExcluding, at any executor worker count. The matrix covers dims
-// {1,2,3,5} with the index switched off and dim 8 with the option at its
-// default, x kernel counts {1, 1000, 50000} x workers {0,1,4}, plus the
-// degenerate shapes that break tree builds: all centers identical
-// (zero-extent boxes) and queries far outside the kernel support
-// (all-pruned descents).
+// The contract under test: for a Kde without a grid index (dims above 6)
+// every batch entry point is BITWISE identical to the scalar
+// ascending-center paths, EvaluateBrute and EvaluateExcluding, at any
+// executor worker count. The matrix runs that check at dims {7, 8} x
+// kernel counts {1, 1000, 50000} x workers {0,1,4}. At dims {1,2,3,5},
+// where Kde evaluates through its grid index instead, it drives the tree
+// directly the way Kde does and checks its sums against the all-center
+// block loop: the tree is dimension-generic, and low dimensions are where
+// its prune cuts deepest. The degenerate shapes that break tree builds
+// come on top: all centers identical (zero-extent boxes) and queries far
+// outside the kernel support (all-pruned descents).
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include "data/point_set.h"
+#include "density/center_tree.h"
 #include "density/kde.h"
+#include "density/kernel_block.h"
 #include "parallel/batch_executor.h"
 #include "synth/generator.h"
 #include "util/check.h"
@@ -132,6 +136,83 @@ void CheckExactEquivalence(const Kde& kde, const data::PointSet& queries) {
   }
 }
 
+// Kde's batch kernel without the grid index, replayed on a CenterTree built
+// here: per spatial tile of queries [begin, end), the surviving centers are
+// gathered into a SoA tile and summed by the frozen block loop. Returns the
+// unnormalized sums; `selves` (nullable) is indexed like `rows`.
+std::vector<double> TreeSums(const Kde::State& state,
+                             const std::vector<double>& inv_h,
+                             const CenterTree& tree, const double* rows,
+                             const double* selves, int64_t begin,
+                             int64_t end) {
+  const int d = state.centers.dim();
+  std::vector<double> sums(static_cast<size_t>(end), -1.0);
+  std::vector<double> soa;
+  tree.ForEachTile(
+      state.kernel, inv_h.data(), rows, begin, end,
+      [&](const int64_t* queries, int64_t count,
+          const std::vector<int32_t>& survivors) {
+        const int64_t tile = static_cast<int64_t>(survivors.size());
+        soa.resize(static_cast<size_t>(d) * tile);
+        for (int j = 0; j < d; ++j) {
+          for (int64_t t = 0; t < tile; ++t) {
+            soa[static_cast<size_t>(j) * tile + t] =
+                state.centers[survivors[t]][j];
+          }
+        }
+        for (int64_t k = 0; k < count; ++k) {
+          const int64_t i = queries[k];
+          sums[i] = SumKernelProductTile(
+              state.kernel, d, rows + i * d, inv_h.data(), soa.data(), tile,
+              selves != nullptr ? selves + i * d : nullptr);
+        }
+      });
+  return sums;
+}
+
+// The tree's exactness contract at a dimension Kde serves through its grid
+// index: for no exclusion, self exclusion and explicit selves, and for the
+// whole range at once as well as cut into 16-row shards (different tiles,
+// different survivor lists), every tree sum equals the all-center
+// ascending block-loop sum bit for bit.
+void CheckTreeEquivalence(const Kde& kde, const data::PointSet& queries) {
+  const Kde::State state = kde.ExportState();
+  const int d = state.centers.dim();
+  const int64_t m = state.centers.size();
+  const int64_t n = queries.size();
+  const double* rows = queries.flat().data();
+  std::vector<double> inv_h(static_cast<size_t>(d));
+  for (int j = 0; j < d; ++j) inv_h[j] = 1.0 / state.bandwidths[j];
+  std::vector<double> all_soa(static_cast<size_t>(d) * m);
+  for (int j = 0; j < d; ++j) {
+    for (int64_t t = 0; t < m; ++t) {
+      all_soa[static_cast<size_t>(j) * m + t] = state.centers[t][j];
+    }
+  }
+  data::PointSet selves(d);
+  for (int64_t i = 0; i < n; ++i) selves.Append(queries[(i + 1) % n]);
+
+  const CenterTree tree(state.centers);
+  for (const double* excl : {static_cast<const double*>(nullptr), rows,
+                             selves.flat().data()}) {
+    std::vector<double> want(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      want[i] = SumKernelProductTile(state.kernel, d, rows + i * d,
+                                     inv_h.data(), all_soa.data(), m,
+                                     excl != nullptr ? excl + i * d : nullptr);
+    }
+    ExpectBitwiseEqual(TreeSums(state, inv_h, tree, rows, excl, 0, n), want);
+    std::vector<double> sharded(static_cast<size_t>(n));
+    for (int64_t begin = 0; begin < n; begin += 16) {
+      const int64_t end = std::min<int64_t>(begin + 16, n);
+      std::vector<double> part =
+          TreeSums(state, inv_h, tree, rows, excl, begin, end);
+      std::copy(part.begin() + begin, part.end(), sharded.begin() + begin);
+    }
+    ExpectBitwiseEqual(sharded, want);
+  }
+}
+
 struct MatrixCase {
   int dim;
   int64_t kernels;
@@ -156,15 +237,15 @@ TEST_P(DualTreeExactTest, BitwiseIdenticalToAscendingCenterKde) {
 
   KdeOptions opts;
   opts.num_kernels = c.kernels;
-  // Above 6 dims no grid index is built whatever the option says, so the
-  // option stays at its default there; below, switching it off is the
-  // only route to the tree.
-  opts.use_grid_index = c.dim > 6;
   opts.seed = 7;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
   ASSERT_EQ(kde->num_kernels(), c.kernels);
-  CheckExactEquivalence(*kde, queries);
+  if (c.dim > 6) {
+    CheckExactEquivalence(*kde, queries);
+  } else {
+    CheckTreeEquivalence(*kde, queries);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,30 +256,33 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{3, 1}, MatrixCase{3, 1000},
                       MatrixCase{3, 50000}, MatrixCase{5, 1},
                       MatrixCase{5, 1000}, MatrixCase{5, 50000},
-                      MatrixCase{8, 1}, MatrixCase{8, 1000},
-                      MatrixCase{8, 50000}));
+                      MatrixCase{7, 1}, MatrixCase{7, 1000},
+                      MatrixCase{7, 50000}, MatrixCase{8, 1},
+                      MatrixCase{8, 1000}, MatrixCase{8, 50000}));
 
 // All centers identical: every node box has zero extent, so the build must
 // bottom out in one oversized leaf instead of recursing forever, and the
 // bandwidth floor keeps evaluation finite.
 TEST(DualTreeDegenerateTest, AllPointsIdentical) {
-  const int dim = 2;
+  const int dim = 7;
   data::PointSet data(dim);
-  const double coords[2] = {0.25, -1.5};
+  const double coords[dim] = {0.25, -1.5, 0.0, 3.0, 0.5, -0.5, 1.0};
   for (int i = 0; i < 500; ++i) data.Append(data::PointView(coords, dim));
 
   KdeOptions opts;
   opts.num_kernels = 64;
-  opts.use_grid_index = false;
   opts.seed = 5;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
 
   data::PointSet queries(dim);
   queries.Append(data::PointView(coords, dim));
-  const double near[2] = {0.25 + 1e-7, -1.5};
+  double near[dim];
+  std::copy(coords, coords + dim, near);
+  near[0] += 1e-7;
   queries.Append(data::PointView(near, dim));
-  const double far[2] = {40.0, 40.0};
+  double far[dim];
+  std::fill(far, far + dim, 40.0);
   queries.Append(data::PointView(far, dim));
   CheckExactEquivalence(*kde, queries);
 }
@@ -207,20 +291,20 @@ TEST(DualTreeDegenerateTest, AllPointsIdentical) {
 // the result must be exactly +0.0, matching the brute sum of all-zero
 // terms bit for bit.
 TEST(DualTreeDegenerateTest, QueriesFarOutsideSupport) {
-  data::PointSet data = MakeData(3, 900, 31);
+  const int dim = 8;
+  data::PointSet data = MakeData(dim, 900, 31);
   KdeOptions opts;
   opts.num_kernels = 300;
-  opts.use_grid_index = false;
   opts.seed = 13;
   auto kde = Kde::Fit(data, opts);
   ASSERT_TRUE(kde.ok());
 
-  data::PointSet queries(3);
+  data::PointSet queries(dim);
   Rng rng(77);
   for (int i = 0; i < 64; ++i) {
-    double q[3];
-    for (int j = 0; j < 3; ++j) q[j] = 100.0 + rng.NextDouble();
-    queries.Append(data::PointView(q, 3));
+    double q[dim];
+    for (int j = 0; j < dim; ++j) q[j] = 100.0 + rng.NextDouble();
+    queries.Append(data::PointView(q, dim));
   }
   const int64_t n = queries.size();
   std::vector<double> got(static_cast<size_t>(n), -1.0);

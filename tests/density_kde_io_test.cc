@@ -84,19 +84,6 @@ TEST(KdeIoTest, LoadedModelDrivesTheSampler) {
   std::remove(path.c_str());
 }
 
-TEST(KdeIoTest, IndexRebuildIsOptionalAndEquivalent) {
-  PointSet ps = ClusteredData(3);
-  Kde original = FitExample(ps, KernelType::kEpanechnikov);
-  std::string path = test::TestPath("noindex.dbsk");
-  ASSERT_TRUE(SaveKde(original, path).ok());
-  auto no_index = LoadKde(path, /*rebuild_index=*/false);
-  ASSERT_TRUE(no_index.ok());
-  double q[2] = {0.31, 0.29};
-  PointView p(q, 2);
-  EXPECT_DOUBLE_EQ(no_index->Evaluate(p), original.Evaluate(p));
-  std::remove(path.c_str());
-}
-
 TEST(KdeIoTest, MissingFileIsIoError) {
   auto result = LoadKde(test::TestPath("no_such_model.dbsk"));
   ASSERT_FALSE(result.ok());

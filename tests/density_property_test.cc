@@ -197,8 +197,9 @@ TEST(KdeSeedSweepTest, CenterSamplingIsUnbiasedAcrossSeeds) {
   EXPECT_NEAR(means.mean(), static_cast<double>(n), 0.1 * n);
 }
 
-// Structural invariants of the kd-tree Kde evaluates unindexed batches
-// through (density/center_tree.h), checked via its test hook
+// Structural invariants of the kd-tree Kde evaluates batches through above
+// 6 dims (density/center_tree.h), built directly over each shape's centers
+// so low dimensions are covered too, and checked via its test hook
 // (CenterTree::NodeView): the leaf-item array is a permutation of [0, m),
 // leaves partition it into disjoint ascending runs of at most kLeafSize,
 // every interior node's children exactly partition its range, and every
@@ -215,7 +216,6 @@ TEST(DualTreeStructureTest, TreeInvariantsHoldAcrossShapes) {
                               shape.dim, 17 + shape.dim);
     KdeOptions opts;
     opts.num_kernels = shape.kernels;
-    opts.use_grid_index = false;
     opts.seed = 23;
     auto kde = Kde::Fit(ps, opts);
     ASSERT_TRUE(kde.ok());

@@ -290,7 +290,7 @@ TEST(CellListTest, RadiusLargerThanBoundingBoxDensePrunes) {
 
 TEST(CellListTest, HighDimensionTakesKdTreeFallback) {
   dbs::Rng rng(41);
-  PointSet ps(7);  // above the default max_grid_dim of 6
+  PointSet ps(7);  // above kCellListMaxDim
   for (int i = 0; i < 300; ++i) {
     std::vector<double> x(7);
     for (auto& v : x) v = rng.NextDouble();
@@ -308,19 +308,6 @@ TEST(CellListTest, HighDimensionTakesKdTreeFallback) {
   ASSERT_TRUE(kd.ok());
   ExpectSameReport(*cell, *kd);
   EXPECT_TRUE(stats.used_fallback);
-
-  // Lowering the cap forces the same fallback in low dimension.
-  PointSet ps3 = MixedWorkload(3, 100, 100, 2, 43);
-  CellListStats stats3;
-  CellListDetectorOptions low_cap;
-  low_cap.max_grid_dim = 2;
-  low_cap.stats = &stats3;
-  auto cell3 = DetectOutliersCellList(ps3, params, low_cap);
-  auto kd3 = DetectOutliersExact(ps3, params);
-  ASSERT_TRUE(cell3.ok());
-  ASSERT_TRUE(kd3.ok());
-  ExpectSameReport(*cell3, *kd3);
-  EXPECT_TRUE(stats3.used_fallback);
 }
 
 TEST(CellListTest, GridCellCapTakesKdTreeFallback) {
@@ -330,11 +317,10 @@ TEST(CellListTest, GridCellCapTakesKdTreeFallback) {
     ps.Append(std::vector<double>{rng.NextDouble(), rng.NextDouble()});
   }
   DbOutlierParams params;
-  params.radius = 0.01;  // would need a ~100x100 grid
+  params.radius = 1e-4;  // would need a ~10^4 x 10^4 grid, over the cap
   params.max_neighbors = 2;
   CellListStats stats;
   CellListDetectorOptions options;
-  options.max_grid_cells = 64;
   options.stats = &stats;
   auto cell = DetectOutliersCellList(ps, params, options);
   auto kd = DetectOutliersExact(ps, params);
@@ -359,13 +345,21 @@ TEST(CellListTest, RejectsBadArgsWithSameMessagesAsKdTree) {
   EXPECT_FALSE(DetectOutliersCellList(ps, bad_fraction).ok());
   EXPECT_FALSE(DetectOutliersCellList(PointSet(2), DbOutlierParams{}).ok());
 
-  DbOutlierParams params;
-  CellListDetectorOptions bad_dim;
-  bad_dim.max_grid_dim = 0;
-  EXPECT_FALSE(DetectOutliersCellList(ps, params, bad_dim).ok());
-  CellListDetectorOptions bad_cells;
-  bad_cells.max_grid_cells = 0;
-  EXPECT_FALSE(DetectOutliersCellList(ps, params, bad_cells).ok());
+  // Non-finite radii would poison the grid side; all three exact detectors
+  // reject them with the same message.
+  for (double radius : {std::nan(""), HUGE_VAL}) {
+    DbOutlierParams bad;
+    bad.radius = radius;
+    auto cell_bad = DetectOutliersCellList(ps, bad);
+    auto kd_bad = DetectOutliersExact(ps, bad);
+    auto nested_bad = DetectOutliersNestedLoop(ps, bad);
+    ASSERT_FALSE(cell_bad.ok());
+    ASSERT_FALSE(kd_bad.ok());
+    ASSERT_FALSE(nested_bad.ok());
+    EXPECT_EQ(cell_bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(cell_bad.status().ToString(), kd_bad.status().ToString());
+    EXPECT_EQ(nested_bad.status().ToString(), kd_bad.status().ToString());
+  }
 }
 
 TEST(CellListTest, ShardedCountingPropagatesBackpressure) {

@@ -277,6 +277,77 @@ TEST(KdeDetectorTest, RejectsBadOptions) {
       DetectOutliersApproximate(w.points, kde, params, bad_qmc).ok());
 }
 
+// One validator behind every KDE-detector entry point: the unsharded
+// detector, the sharded scoring partial and the count estimate reject each
+// bad input with the same InvalidArgument message (the KDE counterpart of
+// CellListTest.RejectsBadArgsWithSameMessagesAsKdTree).
+TEST(KdeDetectorTest, EntryPointsRejectBadArgsWithSameMessages) {
+  auto expect_same_rejection = [](const PointSet& points,
+                                  const density::DensityEstimator& estimator,
+                                  const DbOutlierParams& params,
+                                  const KdeDetectorOptions& options) {
+    auto full = DetectOutliersApproximate(points, estimator, params, options);
+    data::InMemoryScan scan(&points);
+    ShardInfo info;
+    info.total_rows = points.size();
+    auto partial =
+        ScoreOutlierCandidatesPartial(scan, estimator, params, options, info);
+    auto count = EstimateOutlierCount(points, estimator, params, options);
+    ASSERT_FALSE(full.ok());
+    ASSERT_FALSE(partial.ok());
+    ASSERT_FALSE(count.ok());
+    EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(partial.status().ToString(), full.status().ToString());
+    EXPECT_EQ(count.status().ToString(), full.status().ToString());
+  };
+
+  PlantedWorkload w = MakePlanted(500, 2, 6);
+  density::Kde kde = FitKde(w.points);
+  const KdeDetectorOptions options;
+  for (double radius : {-1.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(radius);
+    DbOutlierParams params;
+    params.radius = radius;
+    expect_same_rejection(w.points, kde, params, options);
+  }
+  DbOutlierParams fraction;
+  fraction.max_neighbor_fraction = 1.5;
+  expect_same_rejection(w.points, kde, fraction, options);
+  DbOutlierParams negative;
+  negative.max_neighbors = -1;
+  expect_same_rejection(w.points, kde, negative, options);
+  expect_same_rejection(PointSet(2), kde, DbOutlierParams{}, options);
+  expect_same_rejection(PointSet(3, {0.0, 0.0, 0.0}), kde, DbOutlierParams{},
+                        options);
+
+  KdeDetectorOptions slack;
+  slack.candidate_slack = 0.0;
+  expect_same_rejection(w.points, kde, DbOutlierParams{}, slack);
+  KdeDetectorOptions qmc;
+  qmc.qmc_samples = 0;
+  expect_same_rejection(w.points, kde, DbOutlierParams{}, qmc);
+  KdeDetectorOptions cap;
+  cap.max_candidates = 0;
+  expect_same_rejection(w.points, kde, DbOutlierParams{}, cap);
+
+  // L1 quasi-Monte-Carlo probes exist up to kMaxL1QmcDim dims only.
+  Rng rng(9);
+  PointSet wide(8);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> x(8);
+    for (double& v : x) v = rng.NextDouble();
+    wide.Append(x);
+  }
+  density::Kde wide_kde = FitKde(wide);
+  DbOutlierParams l1;
+  l1.metric = data::Metric::kL1;
+  KdeDetectorOptions l1_qmc;
+  l1_qmc.integration = BallIntegration::kQuasiMonteCarlo;
+  expect_same_rejection(wide, wide_kde, l1, l1_qmc);
+  // The same model and metric integrate fine by center value.
+  EXPECT_TRUE(DetectOutliersApproximate(wide, wide_kde, l1, options).ok());
+}
+
 TEST(KdeDetectorTest, FindsAllPlantedOutliersInTwoPasses) {
   PlantedWorkload w = MakePlanted(8000, 10, 7);
   density::Kde kde = FitKde(w.points);

@@ -8,6 +8,8 @@
 // clean shutdown. This test IS that acceptance check.
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -302,6 +304,54 @@ TEST_F(ServeE2eTest, ErrorsComeBackAsStatusesAndConnectionSurvives) {
   EXPECT_EQ(client.Density(request).status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(client.RegisterModel("est", model_path_).ok());
   EXPECT_TRUE(client.Density(request).ok());
+}
+
+// Outlier arguments the ball integrator cannot take — a NaN radius, L1
+// quasi-Monte-Carlo on a model above 7 dims — come back as error frames,
+// and the next request on the same connection is served.
+TEST_F(ServeE2eTest, BadOutlierArgumentsGetErrorFramesAndConnectionSurvives) {
+  const std::string wide_path = test::TestPath("serve_e2e_8d.dbsk");
+  Rng rng(5);
+  data::PointSet wide_points(8);
+  std::vector<double> row(8);
+  for (int i = 0; i < 500; ++i) {
+    for (double& v : row) v = rng.NextDouble();
+    wide_points.Append(row);
+  }
+  density::KdeOptions options;
+  options.num_kernels = 64;
+  auto wide = density::Kde::Fit(wide_points, options);
+  ASSERT_TRUE(wide.ok());
+  ASSERT_TRUE(density::SaveKde(*wide, wide_path).ok());
+
+  serve::Client client = ConnectOrDie();
+  ASSERT_TRUE(client.RegisterModel("est", model_path_).ok());
+  ASSERT_TRUE(client.RegisterModel("wide", wide_path).ok());
+
+  serve::OutlierScoreBatchRequest good;
+  good.model = "est";
+  good.radius = 0.5;
+  good.max_neighbors = 20;
+  good.integration = outlier::BallIntegration::kQuasiMonteCarlo;
+  good.qmc_samples = 16;
+  good.points = MakePoints(3, 50);
+
+  serve::OutlierScoreBatchRequest nan_radius = good;
+  nan_radius.radius = std::nan("");
+  EXPECT_EQ(client.OutlierScores(nan_radius).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client.OutlierScores(good).ok());
+
+  serve::OutlierScoreBatchRequest l1_qmc = good;
+  l1_qmc.model = "wide";
+  l1_qmc.metric = data::Metric::kL1;
+  l1_qmc.points = wide_points;
+  EXPECT_EQ(client.OutlierScores(l1_qmc).status().code(),
+            StatusCode::kInvalidArgument);
+  serve::OutlierScoreBatchRequest l1_center = l1_qmc;
+  l1_center.integration = outlier::BallIntegration::kCenterValue;
+  EXPECT_TRUE(client.OutlierScores(l1_center).ok());
+  std::remove(wide_path.c_str());
 }
 
 TEST_F(ServeE2eTest, RemoteShutdownUnblocksWaitForShutdown) {

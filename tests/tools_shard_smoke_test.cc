@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+
 #include <gtest/gtest.h>
 
 #include "data/dataset_io.h"
@@ -170,6 +172,27 @@ TEST_F(ToolsShardSmokeTest, OutliersRejectsShardsOnExactMode) {
       RunTool(DBS_OUTLIERS_BIN,
               "in=" + input_ + " mode=exact shards=2", sink + ".txt"),
       0);
+}
+
+// A NaN radius is an argument error on every detector path: the tool
+// prints a message and exits non-zero on its own, instead of dying by a
+// signal on an internal check.
+TEST_F(ToolsShardSmokeTest, OutliersNanRadiusExitsWithMessage) {
+  const std::string sink = test::TestPath("outl_nan");
+  for (const std::string mode :
+       {"mode=approx", "mode=approx shards=2", "mode=exact",
+        "mode=exact exact_algo=cell"}) {
+    SCOPED_TRACE(mode);
+    const std::string cmd = std::string(DBS_OUTLIERS_BIN) + " in=" + input_ +
+                            " k=nan kernels=64 " + mode + " > " + sink +
+                            ".txt 2> " + sink + ".err";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "killed by a signal";
+    EXPECT_NE(WEXITSTATUS(status), 0);
+    EXPECT_LT(WEXITSTATUS(status), 128) << "shell reported a signal";
+    EXPECT_NE(ReadBytes(sink + ".err").find("radius must be finite"),
+              std::string::npos);
+  }
 }
 
 }  // namespace
