@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,10 +43,41 @@ struct Survivor {
   double u;
 };
 
+// k_a feeds p = (b / k_a) f^a; zero, negative, infinite or NaN (f^a
+// underflowing or overflowing at a large |a|) leaves no valid probability.
+[[nodiscard]] Result<double> CheckNormalizer(double k_a, const char* what) {
+  if (!(k_a > 0) || !std::isfinite(k_a)) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " k_a is not positive and finite");
+  }
+  return k_a;
+}
+
 }  // namespace
+
+[[nodiscard]] Status ValidateSamplerOptions(int64_t target_size, double a,
+                                            double density_floor_fraction) {
+  if (target_size <= 0) {
+    return Status::InvalidArgument("target_size must be positive");
+  }
+  if (!std::isfinite(a)) {
+    return Status::InvalidArgument("exponent a must be finite");
+  }
+  if (!(density_floor_fraction >= 0) ||
+      !std::isfinite(density_floor_fraction)) {
+    return Status::InvalidArgument(
+        "density_floor_fraction must be finite and non-negative");
+  }
+  return Status::Ok();
+}
 
 BiasedSampler::BiasedSampler(const BiasedSamplerOptions& options)
     : options_(options) {}
+
+Status BiasedSampler::ValidateOptions() const {
+  return ValidateSamplerOptions(options_.target_size, options_.a,
+                                options_.density_floor_fraction);
+}
 
 double BiasedSampler::FlooredDensityPow(double f, double floor) const {
   return SafePow(std::max(f, floor), options_.a);
@@ -70,18 +102,13 @@ Result<BiasedSample> BiasedSampler::Run(
   DBS_ASSIGN_OR_RETURN(PartialNormalizer partial,
                        NormalizerPartial(scan, estimator, info));
   DBS_ASSIGN_OR_RETURN(double k_a, FinalizeNormalizer(partial));
-  if (k_a <= 0) {
-    return Status::Internal("normalizer k_a is not positive");
-  }
   return SampleWithNormalizer(scan, estimator, k_a, &partial);
 }
 
 Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
     data::DataScan& scan, const density::DensityEstimator& estimator,
     const ShardInfo& info) const {
-  if (options_.target_size <= 0) {
-    return Status::InvalidArgument("target_size must be positive");
-  }
+  DBS_RETURN_IF_ERROR(ValidateOptions());
   if (scan.dim() != estimator.dim()) {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
@@ -89,12 +116,7 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
   if (info.total_rows == 0) {
     return Status::InvalidArgument("cannot sample an empty dataset");
   }
-  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
-  if (scan.size() !=
-      ShardRowRange(info.total_rows, info.num_shards, info.shard).size()) {
-    return Status::InvalidArgument(
-        "scan does not cover the shard's row range");
-  }
+  DBS_RETURN_IF_ERROR(ShardScanRange(info, scan.size()).status());
 
   // Shard slice of pass 1: k_a contribution = sum of f'(x) over the shard's
   // rows. Densities are computed batch-at-a-time (sharded when an executor
@@ -139,24 +161,12 @@ Result<PartialNormalizer> BiasedSampler::NormalizerPartial(
 
 Result<double> BiasedSampler::FinalizeNormalizer(
     const PartialNormalizer& partial) const {
-  if (partial.parts.empty()) {
-    return Status::InvalidArgument("partial normalizer state has no shards");
-  }
-  if (static_cast<int64_t>(partial.parts.size()) !=
-      partial.parts.front().num_shards) {
-    return Status::InvalidArgument(
-        "partial normalizer state is incomplete: not every shard is present");
-  }
+  DBS_RETURN_IF_ERROR(ValidateOptions());
+  DBS_RETURN_IF_ERROR(
+      CheckCompleteShards(partial.parts, "partial normalizer state"));
   double k_a = 0.0;
-  for (size_t i = 0; i < partial.parts.size(); ++i) {
-    if (partial.parts[i].shard != static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "partial normalizer state is incomplete: not every shard is "
-          "present");
-    }
-    k_a += partial.parts[i].k_a;
-  }
-  return k_a;
+  for (const NormalizerShardPart& part : partial.parts) k_a += part.k_a;
+  return CheckNormalizer(k_a, "normalizer");
 }
 
 [[nodiscard]] Result<PartialNormalizer> MergePartialNormalizers(PartialNormalizer a,
@@ -184,26 +194,24 @@ Result<BiasedSample> BiasedSampler::Run(
 
 Result<BiasedSample> BiasedSampler::RunOnePass(data::DataScan& scan,
                                                const density::Kde& kde) const {
-  if (options_.target_size <= 0) {
-    return Status::InvalidArgument("target_size must be positive");
-  }
-  if (scan.dim() != kde.dim()) {
-    return Status::InvalidArgument(
-        "estimator dimensionality does not match the scan");
-  }
-  const int64_t n = scan.size();
-  if (n == 0) {
+  DBS_ASSIGN_OR_RETURN(
+      double k_a, EstimateNormalizer(kde, scan.size(), options_.executor));
+  return SampleWithNormalizer(scan, kde, k_a, nullptr);
+}
+
+Result<double> BiasedSampler::EstimateNormalizer(
+    const density::Kde& kde, int64_t total_rows,
+    parallel::BatchExecutor* executor) const {
+  DBS_RETURN_IF_ERROR(ValidateOptions());
+  if (total_rows == 0) {
     return Status::InvalidArgument("cannot sample an empty dataset");
   }
   // Kernel centers are a uniform sample of the data, so the sample mean of
   // f^a over them estimates E_D[f^a] and k_a ~= n * E_D[f^a]. No dataset
   // pass is spent on normalization.
-  double k_a = static_cast<double>(n) *
-               kde.MeanDensityPow(options_.a, options_.executor);
-  if (k_a <= 0) {
-    return Status::Internal("estimated normalizer k_a is not positive");
-  }
-  return SampleWithNormalizer(scan, kde, k_a, nullptr);
+  return CheckNormalizer(static_cast<double>(total_rows) *
+                             kde.MeanDensityPow(options_.a, executor),
+                         "estimated normalizer");
 }
 
 Result<BiasedSample> BiasedSampler::RunOnePass(const data::PointSet& points,
@@ -227,17 +235,13 @@ Result<PartialSample> BiasedSampler::SamplePartial(
     data::DataScan& scan, const density::DensityEstimator& estimator,
     double normalizer, const ShardInfo& info,
     const PartialNormalizer* bounds) const {
+  DBS_RETURN_IF_ERROR(ValidateOptions());
   if (scan.dim() != estimator.dim()) {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
   }
-  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
-  const RowRange range =
-      ShardRowRange(info.total_rows, info.num_shards, info.shard);
-  if (scan.size() != range.size()) {
-    return Status::InvalidArgument(
-        "scan does not cover the shard's row range");
-  }
+  DBS_ASSIGN_OR_RETURN(const RowRange range,
+                       ShardScanRange(info, scan.size()));
   const int dim = scan.dim();
   // p = scale * f'(x) is one multiply, so it is monotone in f'(x).
   const double scale =
@@ -352,14 +356,9 @@ Result<PartialSample> BiasedSampler::SamplePartial(
 
 Result<BiasedSample> BiasedSampler::FinalizeSample(PartialSample partial,
                                                    double normalizer) const {
-  if (partial.parts.empty()) {
-    return Status::InvalidArgument("partial sample state has no shards");
-  }
-  if (static_cast<int64_t>(partial.parts.size()) !=
-      partial.parts.front().num_shards) {
-    return Status::InvalidArgument(
-        "partial sample state is incomplete: not every shard is present");
-  }
+  DBS_RETURN_IF_ERROR(ValidateOptions());
+  DBS_RETURN_IF_ERROR(
+      CheckCompleteShards(partial.parts, "partial sample state"));
   BiasedSample sample;
   sample.normalizer = normalizer;
   sample.dataset_size = partial.parts.front().total_rows;
@@ -369,16 +368,8 @@ Result<BiasedSample> BiasedSampler::FinalizeSample(PartialSample partial,
   sample.densities = std::move(partial.parts.front().densities);
   sample.clamped_count = partial.parts.front().clamped_count;
   sample.density_evaluations = partial.parts.front().density_evaluations;
-  if (partial.parts.front().shard != 0) {
-    return Status::InvalidArgument(
-        "partial sample state is incomplete: not every shard is present");
-  }
   for (size_t i = 1; i < partial.parts.size(); ++i) {
     SampleShardPart& part = partial.parts[i];
-    if (part.shard != static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "partial sample state is incomplete: not every shard is present");
-    }
     sample.points.AppendAll(part.points);
     sample.inclusion_probs.insert(sample.inclusion_probs.end(),
                                   part.inclusion_probs.begin(),

@@ -136,6 +136,17 @@ struct BiasedSamplerOptions {
   parallel::BatchExecutor* executor = nullptr;
 };
 
+// The sampler option check, shared with the streaming sampler:
+// target_size > 0, a finite `a` and a finite density_floor_fraction >= 0
+// (NaN fails every one). InvalidArgument otherwise.
+[[nodiscard]] Status ValidateSamplerOptions(int64_t target_size, double a,
+                                            double density_floor_fraction);
+
+// Every Result-returning entry point of BiasedSampler runs the option check
+// first (Run through NormalizerPartial, RunOnePass through
+// EstimateNormalizer). A k_a that is not positive and finite — f^a under-
+// or overflowing at a large |a| — is InvalidArgument as well, checked by
+// FinalizeNormalizer (exact) and EstimateNormalizer (estimated).
 class BiasedSampler {
  public:
   explicit BiasedSampler(const BiasedSamplerOptions& options);
@@ -156,6 +167,14 @@ class BiasedSampler {
   [[nodiscard]] Result<BiasedSample> RunOnePass(const data::PointSet& points,
                                   const density::Kde& kde) const;
 
+  // The one-pass normalizer estimate k_a ~= total_rows * E[f^a] over the
+  // kernel centers, shared by RunOnePass and the sharded one-pass sampler.
+  // MeanDensityPow runs on `executor` (bitwise identical with or without
+  // one), so a caller that fans shards out can still use its pool here.
+  [[nodiscard]] Result<double> EstimateNormalizer(
+      const density::Kde& kde, int64_t total_rows,
+      parallel::BatchExecutor* executor) const;
+
   // The inclusion probability the sampler would assign to density value f
   // given normalizer k_a (exposed for analysis and tests).
   double InclusionProbability(double density, double normalizer) const;
@@ -168,7 +187,8 @@ class BiasedSampler {
   [[nodiscard]] Result<PartialNormalizer> NormalizerPartial(
       data::DataScan& scan, const density::DensityEstimator& estimator,
       const ShardInfo& info) const;
-  // Reduces a COMPLETE normalizer state to k_a (ascending shard order).
+  // Reduces a COMPLETE normalizer state to k_a (ascending shard order) and
+  // checks it is positive and finite.
   [[nodiscard]] Result<double> FinalizeNormalizer(const PartialNormalizer& partial) const;
   // Sampling pass over one shard with the shard-seeded Bernoulli stream.
   // `bounds`, when given, must be normalization state this sampler (or one
@@ -187,6 +207,8 @@ class BiasedSampler {
                                       double normalizer) const;
 
  private:
+  [[nodiscard]] Status ValidateOptions() const;
+
   [[nodiscard]] Result<BiasedSample> SampleWithNormalizer(
       data::DataScan& scan, const density::DensityEstimator& estimator,
       double normalizer, const PartialNormalizer* bounds) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/biased_sampler.h"
 #include "data/bounds.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -110,17 +111,18 @@ class StreamingKde {
 
 [[nodiscard]] Result<BiasedSample> StreamingBiasedSample(
     data::DataScan& scan, const StreamingSamplerOptions& options) {
-  if (options.target_size <= 0) {
-    return Status::InvalidArgument("target_size must be positive");
-  }
+  DBS_RETURN_IF_ERROR(ValidateSamplerOptions(
+      options.target_size, options.a, options.density_floor_fraction));
   if (options.num_kernels <= 0) {
     return Status::InvalidArgument("num_kernels must be positive");
   }
-  if (options.warmup_fraction < 0 || options.warmup_fraction >= 1) {
+  if (!(options.warmup_fraction >= 0 && options.warmup_fraction < 1)) {
     return Status::InvalidArgument("warmup_fraction must be in [0, 1)");
   }
-  if (options.bandwidth_scale <= 0) {
-    return Status::InvalidArgument("bandwidth_scale must be positive");
+  if (!(options.bandwidth_scale > 0) ||
+      !std::isfinite(options.bandwidth_scale)) {
+    return Status::InvalidArgument(
+        "bandwidth_scale must be positive and finite");
   }
   const int dim = scan.dim();
   const int64_t n = scan.size();
@@ -168,6 +170,10 @@ class StreamingKde {
       const double floor =
           options.density_floor_fraction * kde.AverageDensity();
       double fa = SafePow(std::max(f_unit, floor), options.a);
+      if (!std::isfinite(fa)) {
+        return Status::InvalidArgument(
+            "f^a overflows: |a| is too large for these densities");
+      }
       fa_moments.Add(fa);
       double k_a = static_cast<double>(n) * fa_moments.mean();
       double p = k_a > 0 ? b / k_a * fa : uniform_rate;

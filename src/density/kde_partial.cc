@@ -1,5 +1,6 @@
 #include "density/kde_partial.h"
 
+#include <cmath>
 #include <utility>
 
 #include "data/dataset.h"
@@ -14,12 +15,15 @@ namespace {
     return Status::InvalidArgument("num_kernels must be positive");
   }
   if (options.bandwidth_rule == BandwidthRule::kFixed &&
-      options.fixed_bandwidth <= 0) {
+      (!(options.fixed_bandwidth > 0) ||
+       !std::isfinite(options.fixed_bandwidth))) {
     return Status::InvalidArgument(
-        "fixed bandwidth rule requires fixed_bandwidth > 0");
+        "fixed bandwidth rule requires a finite fixed_bandwidth > 0");
   }
-  if (options.bandwidth_scale <= 0) {
-    return Status::InvalidArgument("bandwidth_scale must be positive");
+  if (!(options.bandwidth_scale > 0) ||
+      !std::isfinite(options.bandwidth_scale)) {
+    return Status::InvalidArgument(
+        "bandwidth_scale must be positive and finite");
   }
   if (dim <= 0) {
     return Status::InvalidArgument("scan must have positive dimensionality");
@@ -34,13 +38,7 @@ Result<PartialKde> Kde::FitPartial(data::DataScan& scan,
                                    const ShardInfo& info) {
   const int dim = scan.dim();
   DBS_RETURN_IF_ERROR(ValidateFitOptions(options, dim));
-  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
-  const RowRange range =
-      ShardRowRange(info.total_rows, info.num_shards, info.shard);
-  if (scan.size() != range.size()) {
-    return Status::InvalidArgument(
-        "scan does not cover the shard's row range");
-  }
+  DBS_RETURN_IF_ERROR(ShardScanRange(info, scan.size()).status());
   const int64_t m_target = ShardKernelAllocation(
       info.total_rows, info.num_shards,
       options.num_kernels)[static_cast<size_t>(info.shard)];
@@ -99,22 +97,10 @@ Result<PartialKde> Kde::FitPartial(data::DataScan& scan,
 }
 
 [[nodiscard]] Result<Kde> FinalizeKde(PartialKde partial, const KdeOptions& options) {
-  if (partial.parts.empty()) {
-    return Status::InvalidArgument("partial KDE state has no shards");
-  }
+  DBS_RETURN_IF_ERROR(CheckCompleteShards(partial.parts, "partial KDE state"));
   const int dim = partial.dim();
   DBS_RETURN_IF_ERROR(ValidateFitOptions(options, dim));
-  const int64_t num_shards = partial.parts.front().num_shards;
-  if (static_cast<int64_t>(partial.parts.size()) != num_shards) {
-    return Status::InvalidArgument(
-        "partial KDE state is incomplete: not every shard is present");
-  }
-  for (size_t i = 0; i < partial.parts.size(); ++i) {
-    const KdeShardPart& part = partial.parts[i];
-    if (part.shard != static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "partial KDE state is incomplete: not every shard is present");
-    }
+  for (const KdeShardPart& part : partial.parts) {
     if (part.centers.dim() != dim ||
         static_cast<int>(part.moments.size()) != dim) {
       return Status::InvalidArgument(

@@ -30,7 +30,8 @@ namespace dbs::outlier {
 }
 
 // Rejects empty inputs (`rows` is the dataset's row count), bad radii and
-// out-of-range neighbor bounds.
+// out-of-range neighbor bounds. A negative fraction (-inf included) means
+// "use max_neighbors"; a NaN one is an error, not that sentinel.
 [[nodiscard]] inline Status ValidateDetectorArgs(
     int64_t rows, const DbOutlierParams& params) {
   if (rows == 0) {
@@ -42,6 +43,9 @@ namespace dbs::outlier {
   }
   if (params.max_neighbor_fraction > 1) {
     return Status::InvalidArgument("neighbor fraction cannot exceed 1");
+  }
+  if (std::isnan(params.max_neighbor_fraction)) {
+    return Status::InvalidArgument("neighbor fraction cannot be NaN");
   }
   return Status::Ok();
 }

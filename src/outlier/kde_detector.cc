@@ -1,5 +1,6 @@
 #include "outlier/kde_detector.h"
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -20,8 +21,10 @@ namespace {
     return Status::InvalidArgument(
         "estimator dimensionality does not match the scan");
   }
-  if (options.candidate_slack <= 0) {
-    return Status::InvalidArgument("candidate_slack must be positive");
+  if (!(options.candidate_slack > 0) ||
+      !std::isfinite(options.candidate_slack)) {
+    return Status::InvalidArgument(
+        "candidate_slack must be positive and finite");
   }
   DBS_RETURN_IF_ERROR(ValidateBallIntegrator(
       options.integration, scan.dim(), options.qmc_samples, params.metric));
@@ -65,13 +68,8 @@ namespace {
     const ShardInfo& info) {
   DBS_RETURN_IF_ERROR(
       ValidateArgs(info.total_rows, scan, estimator, params, options));
-  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
-  const RowRange range =
-      ShardRowRange(info.total_rows, info.num_shards, info.shard);
-  if (scan.size() != range.size()) {
-    return Status::InvalidArgument(
-        "scan does not cover the shard's row range");
-  }
+  DBS_ASSIGN_OR_RETURN(const RowRange range,
+                       ShardScanRange(info, scan.size()));
 
   const int dim = scan.dim();
   const int64_t p = params.NeighborBound(info.total_rows);
@@ -144,24 +142,12 @@ namespace {
 
 [[nodiscard]] Result<OutlierCandidates> FinalizeOutlierCandidates(
     PartialOutlierCandidates partial) {
-  if (partial.parts.empty()) {
-    return Status::InvalidArgument("partial candidate state has no shards");
-  }
-  if (static_cast<int64_t>(partial.parts.size()) !=
-      partial.parts.front().num_shards) {
-    return Status::InvalidArgument(
-        "partial candidate state is incomplete: not every shard is present");
-  }
+  DBS_RETURN_IF_ERROR(
+      CheckCompleteShards(partial.parts, "partial candidate state"));
   OutlierCandidates out;
   out.points = std::move(partial.parts.front().candidates);
   out.rows = std::move(partial.parts.front().candidate_rows);
-  for (size_t i = 0; i < partial.parts.size(); ++i) {
-    if (partial.parts[i].shard != static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "partial candidate state is incomplete: not every shard is "
-          "present");
-    }
-    if (i == 0) continue;
+  for (size_t i = 1; i < partial.parts.size(); ++i) {
     CandidateShardPart& part = partial.parts[i];
     out.points.AppendAll(part.candidates);
     out.rows.insert(out.rows.end(), part.candidate_rows.begin(),
@@ -180,12 +166,7 @@ namespace {
     return Status::InvalidArgument(
         "candidate dimensionality does not match the scan");
   }
-  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
-  if (scan.size() !=
-      ShardRowRange(info.total_rows, info.num_shards, info.shard).size()) {
-    return Status::InvalidArgument(
-        "scan does not cover the shard's row range");
-  }
+  DBS_RETURN_IF_ERROR(ShardScanRange(info, scan.size()).status());
   const int dim = scan.dim();
 
   // Shard slice of the verification pass: a kd-tree over the (small)
@@ -229,23 +210,11 @@ namespace {
 [[nodiscard]] Result<OutlierReport> FinalizeOutlierReport(
     const OutlierCandidates& candidates, const PartialNeighborCounts& counts,
     const DbOutlierParams& params) {
-  if (counts.parts.empty()) {
-    return Status::InvalidArgument("partial count state has no shards");
-  }
-  if (static_cast<int64_t>(counts.parts.size()) !=
-      counts.parts.front().num_shards) {
-    return Status::InvalidArgument(
-        "partial count state is incomplete: not every shard is present");
-  }
+  DBS_RETURN_IF_ERROR(CheckCompleteShards(counts.parts, "partial count state"));
   const size_t num_candidates =
       static_cast<size_t>(candidates.points.size());
   std::vector<int64_t> total(num_candidates, 0);
-  for (size_t i = 0; i < counts.parts.size(); ++i) {
-    const NeighborCountShardPart& part = counts.parts[i];
-    if (part.shard != static_cast<int64_t>(i)) {
-      return Status::InvalidArgument(
-          "partial count state is incomplete: not every shard is present");
-    }
+  for (const NeighborCountShardPart& part : counts.parts) {
     if (part.counts.size() != num_candidates) {
       return Status::InvalidArgument(
           "neighbor counts do not match the candidate set");

@@ -99,10 +99,8 @@ Result<SampleResponse> ModelService::Sample(const SampleRequest& request) {
   Status valid =
       ValidatePoints(request.points, (*model)->dim(), request.model);
   if (!valid.ok()) return fail(valid);
-  if (request.target_size <= 0) {
-    return fail(Status::InvalidArgument("target_size must be positive"));
-  }
 
+  // The sampler validates target_size, a and the floor itself.
   core::BiasedSamplerOptions options;
   options.a = request.a;
   options.target_size = request.target_size;

@@ -8,30 +8,6 @@
 #include "data/range_scan.h"
 
 namespace dbs::shard {
-namespace {
-
-// Pairwise tree reduction. Correctness does not depend on the pairing: the
-// merge is a sorted disjoint union of per-shard summaries (util/shard.h),
-// so any reduction shape yields the same state. The tree shape only bounds
-// the reduction depth at log2(shards) for the multi-process collector.
-template <typename Partial, typename MergeFn>
-[[nodiscard]] Result<Partial> TreeReduce(std::vector<Partial> parts, const MergeFn& merge) {
-  while (parts.size() > 1) {
-    std::vector<Partial> next;
-    next.reserve((parts.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < parts.size(); i += 2) {
-      DBS_ASSIGN_OR_RETURN(
-          Partial merged,
-          merge(std::move(parts[i]), std::move(parts[i + 1])));
-      next.push_back(std::move(merged));
-    }
-    if (parts.size() % 2 == 1) next.push_back(std::move(parts.back()));
-    parts = std::move(next);
-  }
-  return std::move(parts.front());
-}
-
-}  // namespace
 
 ShardCoordinator::ShardCoordinator(ScanFactory factory,
                                    const ShardCoordinatorOptions& options)
@@ -122,24 +98,27 @@ Result<std::vector<Partial>> ShardCoordinator::RunShards(
   return parts;
 }
 
+template <typename Partial, typename MergeFn>
+Result<Partial> ShardCoordinator::Round(int64_t num_shards, int64_t total_rows,
+                                        const ShardFn<Partial>& fn,
+                                        const MergeFn& merge) const {
+  DBS_ASSIGN_OR_RETURN(std::vector<Partial> parts,
+                       RunShards<Partial>(num_shards, total_rows, fn));
+  return TreeReduce(std::move(parts), merge);
+}
+
 Result<density::Kde> ShardCoordinator::BuildKde(
     const density::KdeOptions& options) const {
   int64_t total_rows = 0;
   DBS_ASSIGN_OR_RETURN(int64_t num_shards, ResolveShards(&total_rows));
-  ShardFn<density::PartialKde> fit =
-      [&options](data::DataScan& scan, const ShardInfo& info) {
-        return density::Kde::FitPartial(scan, options, info);
-      };
-  DBS_ASSIGN_OR_RETURN(
-      std::vector<density::PartialKde> parts,
-      RunShards<density::PartialKde>(num_shards, total_rows, fit));
   DBS_ASSIGN_OR_RETURN(
       density::PartialKde merged,
-      TreeReduce(std::move(parts),
-                 [](density::PartialKde x, density::PartialKde y) {
-                   return density::MergePartialKde(std::move(x),
-                                                   std::move(y));
-                 }));
+      Round<density::PartialKde>(
+          num_shards, total_rows,
+          [&options](data::DataScan& scan, const ShardInfo& info) {
+            return density::Kde::FitPartial(scan, options, info);
+          },
+          density::MergePartialKde));
   return density::FinalizeKde(std::move(merged), options);
 }
 
@@ -153,84 +132,52 @@ Result<core::BiasedSample> ShardCoordinator::SampleTwoPass(
   const core::BiasedSampler sampler(shard_options);
 
   // Round 1: exact normalizer.
-  ShardFn<core::PartialNormalizer> normalize =
-      [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.NormalizerPartial(scan, estimator, info);
-      };
-  DBS_ASSIGN_OR_RETURN(std::vector<core::PartialNormalizer> norm_parts,
-                       RunShards<core::PartialNormalizer>(
-                           num_shards, total_rows, normalize));
   DBS_ASSIGN_OR_RETURN(
       core::PartialNormalizer norm_merged,
-      TreeReduce(std::move(norm_parts),
-                 [](core::PartialNormalizer x, core::PartialNormalizer y) {
-                   return core::MergePartialNormalizers(std::move(x),
-                                                        std::move(y));
-                 }));
-  DBS_ASSIGN_OR_RETURN(double k_a,
-                       sampler.FinalizeNormalizer(norm_merged));
-  if (k_a <= 0) {
-    return Status::Internal("normalizer k_a is not positive");
-  }
+      Round<core::PartialNormalizer>(
+          num_shards, total_rows,
+          [&](data::DataScan& scan, const ShardInfo& info) {
+            return sampler.NormalizerPartial(scan, estimator, info);
+          },
+          core::MergePartialNormalizers));
+  DBS_ASSIGN_OR_RETURN(double k_a, sampler.FinalizeNormalizer(norm_merged));
 
   // Round 2: Bernoulli sampling against the global normalizer, skipping
   // f(x) where round 1's per-block f^a bounds already reject the row.
-  ShardFn<core::PartialSample> draw =
-      [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.SamplePartial(scan, estimator, k_a, info,
-                                     &norm_merged);
-      };
-  DBS_ASSIGN_OR_RETURN(
-      std::vector<core::PartialSample> sample_parts,
-      RunShards<core::PartialSample>(num_shards, total_rows, draw));
   DBS_ASSIGN_OR_RETURN(
       core::PartialSample sample_merged,
-      TreeReduce(std::move(sample_parts),
-                 [](core::PartialSample x, core::PartialSample y) {
-                   return core::MergePartialSamples(std::move(x),
-                                                    std::move(y));
-                 }));
+      Round<core::PartialSample>(
+          num_shards, total_rows,
+          [&](data::DataScan& scan, const ShardInfo& info) {
+            return sampler.SamplePartial(scan, estimator, k_a, info,
+                                         &norm_merged);
+          },
+          core::MergePartialSamples));
   return sampler.FinalizeSample(std::move(sample_merged), k_a);
 }
 
 Result<core::BiasedSample> ShardCoordinator::SampleOnePass(
     const density::Kde& kde,
     const core::BiasedSamplerOptions& options) const {
-  if (options.target_size <= 0) {
-    return Status::InvalidArgument("target_size must be positive");
-  }
   int64_t total_rows = 0;
   DBS_ASSIGN_OR_RETURN(int64_t num_shards, ResolveShards(&total_rows));
-  if (total_rows == 0) {
-    return Status::InvalidArgument("cannot sample an empty dataset");
-  }
   core::BiasedSamplerOptions shard_options = options;
   shard_options.executor = ShardExecutor(num_shards);
   const core::BiasedSampler sampler(shard_options);
 
-  // k_a ~= n * E[f^a] from the kernel centers (no dataset pass). Evaluated
-  // on the calling thread, where the coordinator's executor is safe to use;
-  // MeanDensityPow is bitwise identical with or without one.
-  const double k_a = static_cast<double>(total_rows) *
-                     kde.MeanDensityPow(options.a, options_.executor);
-  if (k_a <= 0) {
-    return Status::Internal("estimated normalizer k_a is not positive");
-  }
-
-  ShardFn<core::PartialSample> draw =
-      [&](data::DataScan& scan, const ShardInfo& info) {
-        return sampler.SamplePartial(scan, kde, k_a, info);
-      };
+  // k_a from the kernel centers (no dataset pass), evaluated on the calling
+  // thread, where the coordinator's executor is safe to use.
   DBS_ASSIGN_OR_RETURN(
-      std::vector<core::PartialSample> sample_parts,
-      RunShards<core::PartialSample>(num_shards, total_rows, draw));
+      double k_a,
+      sampler.EstimateNormalizer(kde, total_rows, options_.executor));
   DBS_ASSIGN_OR_RETURN(
       core::PartialSample sample_merged,
-      TreeReduce(std::move(sample_parts),
-                 [](core::PartialSample x, core::PartialSample y) {
-                   return core::MergePartialSamples(std::move(x),
-                                                    std::move(y));
-                 }));
+      Round<core::PartialSample>(
+          num_shards, total_rows,
+          [&](data::DataScan& scan, const ShardInfo& info) {
+            return sampler.SamplePartial(scan, kde, k_a, info);
+          },
+          core::MergePartialSamples));
   return sampler.FinalizeSample(std::move(sample_merged), k_a);
 }
 
@@ -244,23 +191,20 @@ Result<outlier::OutlierReport> ShardCoordinator::DetectOutliers(
   shard_options.executor = ShardExecutor(num_shards);
 
   // Round 1: score rows, keep likely outliers under global row indices.
-  ShardFn<outlier::PartialOutlierCandidates> score =
-      [&](data::DataScan& scan, const ShardInfo& info) {
-        return outlier::ScoreOutlierCandidatesPartial(
-            scan, estimator, params, shard_options, info);
-      };
-  DBS_ASSIGN_OR_RETURN(
-      std::vector<outlier::PartialOutlierCandidates> cand_parts,
-      RunShards<outlier::PartialOutlierCandidates>(num_shards, total_rows,
-                                                   score));
+  // The merge enforces the global candidate cap, so it binds the option.
   DBS_ASSIGN_OR_RETURN(
       outlier::PartialOutlierCandidates cand_merged,
-      TreeReduce(std::move(cand_parts),
-                 [&options](outlier::PartialOutlierCandidates x,
-                            outlier::PartialOutlierCandidates y) {
-                   return outlier::MergeOutlierCandidates(
-                       std::move(x), std::move(y), options.max_candidates);
-                 }));
+      Round<outlier::PartialOutlierCandidates>(
+          num_shards, total_rows,
+          [&](data::DataScan& scan, const ShardInfo& info) {
+            return outlier::ScoreOutlierCandidatesPartial(
+                scan, estimator, params, shard_options, info);
+          },
+          [&options](outlier::PartialOutlierCandidates x,
+                     outlier::PartialOutlierCandidates y) {
+            return outlier::MergeOutlierCandidates(
+                std::move(x), std::move(y), options.max_candidates);
+          }));
   DBS_ASSIGN_OR_RETURN(
       outlier::OutlierCandidates candidates,
       outlier::FinalizeOutlierCandidates(std::move(cand_merged)));
@@ -272,23 +216,15 @@ Result<outlier::OutlierReport> ShardCoordinator::DetectOutliers(
   }
 
   // Round 2: exact neighbor tallies of the merged candidate set.
-  ShardFn<outlier::PartialNeighborCounts> count =
-      [&](data::DataScan& scan, const ShardInfo& info) {
-        return outlier::CountCandidateNeighborsPartial(scan, candidates,
-                                                       params, info);
-      };
-  DBS_ASSIGN_OR_RETURN(
-      std::vector<outlier::PartialNeighborCounts> count_parts,
-      RunShards<outlier::PartialNeighborCounts>(num_shards, total_rows,
-                                                count));
   DBS_ASSIGN_OR_RETURN(
       outlier::PartialNeighborCounts count_merged,
-      TreeReduce(std::move(count_parts),
-                 [](outlier::PartialNeighborCounts x,
-                    outlier::PartialNeighborCounts y) {
-                   return outlier::MergeNeighborCounts(std::move(x),
-                                                       std::move(y));
-                 }));
+      Round<outlier::PartialNeighborCounts>(
+          num_shards, total_rows,
+          [&](data::DataScan& scan, const ShardInfo& info) {
+            return outlier::CountCandidateNeighborsPartial(scan, candidates,
+                                                           params, info);
+          },
+          outlier::MergeNeighborCounts));
   return outlier::FinalizeOutlierReport(candidates, count_merged, params);
 }
 

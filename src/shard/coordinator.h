@@ -115,6 +115,13 @@ class ShardCoordinator {
                                          int64_t total_rows,
                                          const ShardFn<Partial>& fn) const;
 
+  // One fan-out round: RunShards, then TreeReduce of the parts with
+  // `merge` — the only place the coordinator fans out and reduces.
+  template <typename Partial, typename MergeFn>
+  [[nodiscard]] Result<Partial> Round(int64_t num_shards, int64_t total_rows,
+                                      const ShardFn<Partial>& fn,
+                                      const MergeFn& merge) const;
+
   ScanFactory factory_;
   ShardCoordinatorOptions options_;
 };

@@ -30,9 +30,9 @@ void UniformInEllipse(Rng& rng, double cx, double cy, double ax, double ay,
   if (options.num_points < 100) {
     return Status::InvalidArgument("dataset1 needs at least 100 points");
   }
-  if (options.noise_multiplier < 0) {
-    return Status::InvalidArgument("noise_multiplier cannot be negative");
-  }
+  DBS_ASSIGN_OR_RETURN(const int64_t noise_count,
+                       NoiseCount(options.noise_multiplier,
+                                  options.num_points));
   Rng rng(options.seed);
 
   // Layout (unit square): a big circle on the left; two elongated ellipses
@@ -67,8 +67,6 @@ void UniformInEllipse(Rng& rng, double cx, double cy, double ax, double ay,
   out.truth.regions.push_back(Region::Ball({s1_cx, s1_cy}, small_r));
   out.truth.regions.push_back(Region::Ball({s2_cx, s2_cy}, small_r));
 
-  int64_t noise_count = static_cast<int64_t>(
-      options.noise_multiplier * static_cast<double>(options.num_points));
   out.points.Reserve(options.num_points + noise_count);
 
   double buf[2];

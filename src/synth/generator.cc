@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/rng.h"
 
@@ -22,6 +23,20 @@ bool BoxesOverlap(const std::vector<double>& a_lo,
 }
 
 }  // namespace
+
+[[nodiscard]] Result<int64_t> NoiseCount(double noise_multiplier,
+                                         int64_t points) {
+  if (!(noise_multiplier >= 0) || !std::isfinite(noise_multiplier)) {
+    return Status::InvalidArgument(
+        "noise_multiplier must be finite and non-negative");
+  }
+  const double count = noise_multiplier * static_cast<double>(points);
+  if (!(count <
+        static_cast<double>(std::numeric_limits<int64_t>::max()))) {
+    return Status::InvalidArgument("noise point count overflows int64");
+  }
+  return static_cast<int64_t>(count);
+}
 
 std::vector<int64_t> ClusterPointCounts(int num_clusters, int64_t total,
                                         double size_ratio) {
@@ -62,18 +77,20 @@ std::vector<int64_t> ClusterPointCounts(int num_clusters, int64_t total,
   if (options.num_cluster_points < options.num_clusters) {
     return Status::InvalidArgument("need at least one point per cluster");
   }
-  if (options.size_ratio < 1.0) {
-    return Status::InvalidArgument("size_ratio must be >= 1");
+  if (!(options.size_ratio >= 1.0) || !std::isfinite(options.size_ratio)) {
+    return Status::InvalidArgument("size_ratio must be finite and >= 1");
   }
-  if (options.min_extent <= 0 || options.max_extent > 1 ||
-      options.min_extent > options.max_extent) {
+  if (!(options.min_extent > 0 && options.max_extent <= 1 &&
+        options.min_extent <= options.max_extent)) {
     return Status::InvalidArgument("invalid extent range");
   }
-  if (options.noise_multiplier < 0) {
-    return Status::InvalidArgument("noise_multiplier cannot be negative");
-  }
-  if (options.min_separation < 0) {
-    return Status::InvalidArgument("min_separation cannot be negative");
+  DBS_ASSIGN_OR_RETURN(
+      const int64_t noise_count,
+      NoiseCount(options.noise_multiplier, options.num_cluster_points));
+  if (!(options.min_separation >= 0) ||
+      !std::isfinite(options.min_separation)) {
+    return Status::InvalidArgument(
+        "min_separation must be finite and non-negative");
   }
 
   Rng rng(options.seed);
@@ -118,9 +135,6 @@ std::vector<int64_t> ClusterPointCounts(int num_clusters, int64_t total,
   out.points = data::PointSet(d);
   std::vector<int64_t> counts = ClusterPointCounts(
       options.num_clusters, options.num_cluster_points, options.size_ratio);
-  int64_t noise_count = static_cast<int64_t>(
-      options.noise_multiplier *
-      static_cast<double>(options.num_cluster_points));
   out.points.Reserve(options.num_cluster_points + noise_count);
 
   std::vector<double> buf(d);

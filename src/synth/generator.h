@@ -54,6 +54,12 @@ struct ClusteredDataset {
 [[nodiscard]] Result<ClusteredDataset> MakeClusteredDataset(
     const ClusteredDatasetOptions& options);
 
+// The number of uniform noise points, noise_multiplier * points truncated;
+// InvalidArgument unless the multiplier is finite and non-negative and the
+// count fits in int64 (shared by the clustered and CURE generators).
+[[nodiscard]] Result<int64_t> NoiseCount(double noise_multiplier,
+                                         int64_t points);
+
 // Point counts per cluster implied by the options: geometric interpolation
 // between the largest and smallest so densities vary smoothly (exposed for
 // tests and benches).

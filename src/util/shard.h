@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -67,6 +68,21 @@ inline RowRange ShardRowRange(int64_t total_rows, int64_t num_shards,
   RowRange range;
   range.begin = shard * base + std::min(shard, extra);
   range.end = range.begin + base + (shard < extra ? 1 : 0);
+  return range;
+}
+
+// The shard-side precondition of every *Partial build: a valid `info`
+// whose row range the shard's scan of `scan_rows` rows covers exactly.
+// Returns that range.
+[[nodiscard]] inline Result<RowRange> ShardScanRange(const ShardInfo& info,
+                                                     int64_t scan_rows) {
+  DBS_RETURN_IF_ERROR(ValidateShardInfo(info));
+  const RowRange range =
+      ShardRowRange(info.total_rows, info.num_shards, info.shard);
+  if (scan_rows != range.size()) {
+    return Status::InvalidArgument(
+        "scan does not cover the shard's row range");
+  }
   return range;
 }
 
@@ -146,6 +162,54 @@ template <typename Part>
   }
   *into = std::move(merged);
   return Status::Ok();
+}
+
+// The precondition of every Finalize*: the state is COMPLETE — one part per
+// shard of a single build, in ascending shard order. `what` names the state
+// in the error ("partial KDE state").
+template <typename Part>
+[[nodiscard]] Status CheckCompleteShards(const std::vector<Part>& parts,
+                                         const char* what) {
+  if (parts.empty()) {
+    return Status::InvalidArgument(std::string(what) + " has no shards");
+  }
+  bool complete =
+      static_cast<int64_t>(parts.size()) == parts.front().num_shards;
+  for (size_t i = 0; complete && i < parts.size(); ++i) {
+    complete = parts[i].shard == static_cast<int64_t>(i);
+  }
+  if (!complete) {
+    return Status::InvalidArgument(
+        std::string(what) + " is incomplete: not every shard is present");
+  }
+  return Status::Ok();
+}
+
+// Pairwise tree reduction of per-shard partial states with
+// `merge(Partial, Partial) -> Result<Partial>`. Correctness does not depend
+// on the pairing: every merge is a sorted disjoint union (MergeShardParts),
+// so any reduction shape yields the same state; the tree shape only bounds
+// the reduction depth at log2(parts). Each part is moved into its merge, so
+// no copy outlives the step that consumed it.
+template <typename Partial, typename MergeFn>
+[[nodiscard]] Result<Partial> TreeReduce(std::vector<Partial> parts,
+                                         const MergeFn& merge) {
+  if (parts.empty()) {
+    return Status::InvalidArgument("no partial states to reduce");
+  }
+  while (parts.size() > 1) {
+    std::vector<Partial> next;
+    next.reserve((parts.size() + 1) / 2);
+    for (size_t i = 0; i + 1 < parts.size(); i += 2) {
+      DBS_ASSIGN_OR_RETURN(
+          Partial merged,
+          merge(std::move(parts[i]), std::move(parts[i + 1])));
+      next.push_back(std::move(merged));
+    }
+    if (parts.size() % 2 == 1) next.push_back(std::move(parts.back()));
+    parts = std::move(next);
+  }
+  return std::move(parts.front());
 }
 
 }  // namespace dbs

@@ -62,13 +62,12 @@ density::Kde FitKde(const PointSet& ps, uint64_t seed = 1) {
   return std::move(kde).value();
 }
 
+// One option check behind every sampler entry point: each rejects a bad
+// target_size, a non-finite exponent and a negative or non-finite floor
+// with the same InvalidArgument message, NaN included.
 TEST(BiasedSamplerTest, RejectsBadArguments) {
   Workload w = MakeWorkload(1000, 0, 0, 1);
   density::Kde kde = FitKde(w.points);
-
-  BiasedSamplerOptions bad;
-  bad.target_size = 0;
-  EXPECT_FALSE(BiasedSampler(bad).Run(w.points, kde).ok());
 
   PointSet empty(2);
   BiasedSamplerOptions opts;
@@ -76,6 +75,77 @@ TEST(BiasedSamplerTest, RejectsBadArguments) {
 
   PointSet wrong_dim(3, {0.0, 0.0, 0.0});
   EXPECT_FALSE(BiasedSampler(opts).Run(wrong_dim, kde).ok());
+
+  const ShardInfo info{0, 1, w.points.size()};
+  const BiasedSampler good(opts);
+  data::InMemoryScan good_scan(&w.points);
+  auto norm = good.NormalizerPartial(good_scan, kde, info);
+  ASSERT_TRUE(norm.ok());
+  auto part = good.SamplePartial(good_scan, kde, 1000.0, info);
+  ASSERT_TRUE(part.ok());
+  auto expect_rejected = [&](const BiasedSamplerOptions& options) {
+    const BiasedSampler sampler(options);
+    data::InMemoryScan scan(&w.points);
+    const Status want = sampler.Run(w.points, kde).status();
+    EXPECT_EQ(want.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(sampler.RunOnePass(w.points, kde).status().ToString(),
+              want.ToString());
+    EXPECT_EQ(sampler.NormalizerPartial(scan, kde, info).status().ToString(),
+              want.ToString());
+    EXPECT_EQ(sampler.FinalizeNormalizer(*norm).status().ToString(),
+              want.ToString());
+    EXPECT_EQ(
+        sampler.SamplePartial(scan, kde, 1000.0, info).status().ToString(),
+        want.ToString());
+    EXPECT_EQ(sampler.FinalizeSample(*part, 1000.0).status().ToString(),
+              want.ToString());
+    EXPECT_EQ(sampler.EstimateNormalizer(kde, w.points.size(), nullptr)
+                  .status()
+                  .ToString(),
+              want.ToString());
+  };
+
+  BiasedSamplerOptions size;
+  size.target_size = 0;
+  expect_rejected(size);
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    BiasedSamplerOptions a;
+    a.a = bad;
+    expect_rejected(a);
+    BiasedSamplerOptions floor;
+    floor.density_floor_fraction = bad;
+    expect_rejected(floor);
+  }
+  BiasedSamplerOptions negative_floor;
+  negative_floor.density_floor_fraction = -1e-3;
+  expect_rejected(negative_floor);
+}
+
+// A finite exponent can still over- or underflow f^a; the normalizer checks
+// reject k_a that is zero or not finite instead of sampling with it.
+TEST(BiasedSamplerTest, NormalizerMustBePositiveAndFinite) {
+  Workload w = MakeWorkload(1000, 0, 0, 1);
+  density::Kde kde = FitKde(w.points);
+  const BiasedSampler sampler(BiasedSamplerOptions{});
+  for (double k_a : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(k_a);
+    PartialNormalizer partial;
+    partial.parts.emplace_back();
+    partial.parts.back().k_a = k_a;
+    auto finalized = sampler.FinalizeNormalizer(partial);
+    ASSERT_FALSE(finalized.ok());
+    EXPECT_EQ(finalized.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double a : {1e308, -1e308}) {
+    SCOPED_TRACE(a);
+    BiasedSamplerOptions opts;
+    opts.a = a;
+    EXPECT_EQ(BiasedSampler(opts).Run(w.points, kde).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BiasedSampler(opts).RunOnePass(w.points, kde).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // Property 2: expected sample size is b — sweep a over the regimes.

@@ -55,6 +55,26 @@ TEST(StreamingSamplerTest, RejectsBadOptions) {
   EXPECT_FALSE(StreamingBiasedSample(ps, kernels).ok());
   EXPECT_FALSE(StreamingBiasedSample(PointSet(2), StreamingSamplerOptions{})
                    .ok());
+  for (double value : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(value);
+    StreamingSamplerOptions a;
+    a.a = value;
+    EXPECT_FALSE(StreamingBiasedSample(ps, a).ok());
+    StreamingSamplerOptions scale;
+    scale.bandwidth_scale = value;
+    EXPECT_FALSE(StreamingBiasedSample(ps, scale).ok());
+    StreamingSamplerOptions warmup;
+    warmup.warmup_fraction = value;
+    EXPECT_FALSE(StreamingBiasedSample(ps, warmup).ok());
+    StreamingSamplerOptions floor;
+    floor.density_floor_fraction = value;
+    EXPECT_FALSE(StreamingBiasedSample(ps, floor).ok());
+  }
+  // A finite exponent whose f^a overflows is rejected, not sampled with.
+  StreamingSamplerOptions huge;
+  huge.a = 1e308;
+  huge.num_kernels = 50;
+  EXPECT_FALSE(StreamingBiasedSample(ps, huge).ok());
 }
 
 TEST(StreamingSamplerTest, SingleScanPass) {

@@ -60,6 +60,24 @@ TEST(KdeTest, RejectsBadOptions) {
   fixed.bandwidth_rule = BandwidthRule::kFixed;
   fixed.fixed_bandwidth = 0.0;
   EXPECT_FALSE(Kde::Fit(ps, fixed).ok());
+
+  // Non-finite bandwidth options are caught by the options check, before
+  // any bandwidth reaches FromState.
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    KdeOptions scale;
+    scale.bandwidth_scale = bad;
+    auto scaled = Kde::Fit(ps, scale);
+    ASSERT_FALSE(scaled.ok());
+    EXPECT_EQ(scaled.status().message(),
+              "bandwidth_scale must be positive and finite");
+    KdeOptions fixed_bad = fixed;
+    fixed_bad.fixed_bandwidth = bad;
+    auto fixed_fit = Kde::Fit(ps, fixed_bad);
+    ASSERT_FALSE(fixed_fit.ok());
+    EXPECT_EQ(fixed_fit.status().message(),
+              "fixed bandwidth rule requires a finite fixed_bandwidth > 0");
+  }
 }
 
 TEST(KdeTest, UsesAtMostNumKernelsCenters) {

@@ -267,10 +267,13 @@ TEST(KdeDetectorTest, RejectsBadOptions) {
   PlantedWorkload w = MakePlanted(500, 2, 6);
   density::Kde kde = FitKde(w.points);
   DbOutlierParams params;
-  KdeDetectorOptions bad;
-  bad.candidate_slack = 0.0;
-  EXPECT_FALSE(
-      DetectOutliersApproximate(w.points, kde, params, bad).ok());
+  for (double slack : {0.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    KdeDetectorOptions bad;
+    bad.candidate_slack = slack;
+    EXPECT_FALSE(
+        DetectOutliersApproximate(w.points, kde, params, bad).ok())
+        << slack;
+  }
   KdeDetectorOptions bad_qmc;
   bad_qmc.qmc_samples = 0;
   EXPECT_FALSE(
@@ -310,9 +313,12 @@ TEST(KdeDetectorTest, EntryPointsRejectBadArgsWithSameMessages) {
     params.radius = radius;
     expect_same_rejection(w.points, kde, params, options);
   }
-  DbOutlierParams fraction;
-  fraction.max_neighbor_fraction = 1.5;
-  expect_same_rejection(w.points, kde, fraction, options);
+  for (double bad : {1.5, HUGE_VAL, std::nan("")}) {
+    SCOPED_TRACE(bad);
+    DbOutlierParams fraction;
+    fraction.max_neighbor_fraction = bad;
+    expect_same_rejection(w.points, kde, fraction, options);
+  }
   DbOutlierParams negative;
   negative.max_neighbors = -1;
   expect_same_rejection(w.points, kde, negative, options);
@@ -320,9 +326,12 @@ TEST(KdeDetectorTest, EntryPointsRejectBadArgsWithSameMessages) {
   expect_same_rejection(PointSet(3, {0.0, 0.0, 0.0}), kde, DbOutlierParams{},
                         options);
 
-  KdeDetectorOptions slack;
-  slack.candidate_slack = 0.0;
-  expect_same_rejection(w.points, kde, DbOutlierParams{}, slack);
+  for (double bad : {0.0, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    KdeDetectorOptions slack;
+    slack.candidate_slack = bad;
+    expect_same_rejection(w.points, kde, DbOutlierParams{}, slack);
+  }
   KdeDetectorOptions qmc;
   qmc.qmc_samples = 0;
   expect_same_rejection(w.points, kde, DbOutlierParams{}, qmc);

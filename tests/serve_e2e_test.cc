@@ -354,6 +354,30 @@ TEST_F(ServeE2eTest, BadOutlierArgumentsGetErrorFramesAndConnectionSurvives) {
   std::remove(wide_path.c_str());
 }
 
+// Sampler options that are not finite come back as InvalidArgument frames
+// from the sampler's own option check, and the daemon keeps serving.
+TEST_F(ServeE2eTest, NanSampleOptionsGetErrorFramesAndConnectionSurvives) {
+  serve::Client client = ConnectOrDie();
+  ASSERT_TRUE(client.RegisterModel("est", model_path_).ok());
+
+  serve::SampleRequest good;
+  good.model = "est";
+  good.target_size = 50;
+  good.points = MakePoints(7, 500);
+
+  serve::SampleRequest nan_a = good;
+  nan_a.a = std::nan("");
+  EXPECT_EQ(client.Sample(nan_a).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client.Sample(good).ok());
+
+  serve::SampleRequest nan_floor = good;
+  nan_floor.density_floor_fraction = std::nan("");
+  EXPECT_EQ(client.Sample(nan_floor).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(client.Sample(good).ok());
+}
+
 TEST_F(ServeE2eTest, RemoteShutdownUnblocksWaitForShutdown) {
   std::atomic<bool> returned{false};
   std::thread waiter([&] {

@@ -2,21 +2,25 @@
 // a sorted disjoint union with no arithmetic, so every merge order and
 // every tree shape must finalize to the SAME model, bitwise. Also pins the
 // merged-model round trip: FinalizeKde -> ExportState/FromState and
-// SaveKde/LoadKde both reproduce Evaluate byte-for-byte.
+// SaveKde/LoadKde both reproduce Evaluate byte-for-byte, and that each of
+// the five Finalize* functions refuses an incomplete state.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/biased_sampler.h"
 #include "data/dataset.h"
 #include "data/range_scan.h"
 #include "density/kde.h"
 #include "density/kde_io.h"
 #include "density/kde_partial.h"
+#include "outlier/kde_detector.h"
 #include "synth/generator.h"
 #include "tests/test_paths.h"
 #include "util/shard.h"
@@ -136,6 +140,17 @@ TEST(ShardMergePropertyTest, TreeShapeCannotAffectTheModel) {
   ASSERT_TRUE(skewed_kde.ok());
 
   ExpectSameModel(*skewed_kde, *balanced_kde);
+
+  // TreeReduce, the coordinator's and dbs_merge's reduction; it refuses an
+  // empty list instead of reading past it.
+  auto reduced = TreeReduce(p, density::MergePartialKde);
+  ASSERT_TRUE(reduced.ok());
+  auto reduced_kde = density::FinalizeKde(std::move(*reduced), KdeOpts());
+  ASSERT_TRUE(reduced_kde.ok());
+  ExpectSameModel(*reduced_kde, *balanced_kde);
+  EXPECT_FALSE(TreeReduce(std::vector<density::PartialKde>{},
+                          density::MergePartialKde)
+                   .ok());
 }
 
 TEST(ShardMergePropertyTest, MergeIsCommutative) {
@@ -164,12 +179,129 @@ TEST(ShardMergePropertyTest, DuplicateShardIsRejected) {
   EXPECT_FALSE(cross.ok());
 }
 
+// One single-part state per shard, each from its own RangeScan slice.
+template <typename Partial, typename ShardFn>
+std::vector<Partial> EachShard(const data::PointSet& data, int64_t num_shards,
+                               const ShardFn& fn) {
+  std::vector<Partial> partials;
+  for (int64_t s = 0; s < num_shards; ++s) {
+    const ShardInfo info{s, num_shards, data.size()};
+    const RowRange range = ShardRowRange(info.total_rows, num_shards, s);
+    data::InMemoryScan base(&data);
+    data::RangeScan slice(&base, range.begin, range.end);
+    Result<Partial> partial = fn(slice, info);
+    EXPECT_TRUE(partial.ok()) << partial.status().ToString();
+    partials.push_back(std::move(*partial));
+  }
+  return partials;
+}
+
+// A hand-built state holding the parts of `shards` at `picks`, in that
+// order. Merge* would refuse a duplicate; Finalize* must catch it too.
+template <typename Partial>
+Partial Pick(const std::vector<Partial>& shards,
+             const std::vector<size_t>& picks) {
+  Partial state;
+  for (size_t s : picks) state.parts.push_back(shards[s].parts.front());
+  return state;
+}
+
+// `finalize` (state -> Status) accepts the complete 3-shard state and
+// rejects an empty one, a missing middle shard, a missing shard 0 and a
+// duplicated shard.
+template <typename Partial, typename FinalizeFn>
+void ExpectOnlyCompleteStatesFinalize(const std::vector<Partial>& shards,
+                                      const FinalizeFn& finalize) {
+  ASSERT_EQ(shards.size(), 3u);
+  const Status complete = finalize(Pick(shards, {0, 1, 2}));
+  EXPECT_TRUE(complete.ok()) << complete.ToString();
+  const Status empty = finalize(Partial{});
+  EXPECT_EQ(empty.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(empty.message().find("has no shards"), std::string::npos);
+  const std::vector<std::vector<size_t>> incomplete = {
+      {0, 2}, {1, 2}, {0, 1, 1}};
+  for (const std::vector<size_t>& picks : incomplete) {
+    SCOPED_TRACE(::testing::PrintToString(picks));
+    const Status status = finalize(Pick(shards, picks));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("is incomplete"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(ShardMergePropertyTest, IncompletePartialCannotFinalize) {
   const data::PointSet data = MakeData(800, 47);
-  std::vector<density::PartialKde> p = FitAllShards(data, 3);
-  auto partial = density::MergePartialKde(p[0], p[2]);  // shard 1 missing
-  ASSERT_TRUE(partial.ok());
-  EXPECT_FALSE(density::FinalizeKde(std::move(*partial), KdeOpts()).ok());
+  const std::vector<density::PartialKde> fits = FitAllShards(data, 3);
+  {
+    SCOPED_TRACE("FinalizeKde");
+    ExpectOnlyCompleteStatesFinalize(fits, [](density::PartialKde state) {
+      return density::FinalizeKde(std::move(state), KdeOpts()).status();
+    });
+  }
+  auto kde = density::Kde::Fit(data, KdeOpts());
+  ASSERT_TRUE(kde.ok());
+
+  const core::BiasedSampler sampler(core::BiasedSamplerOptions{});
+  {
+    SCOPED_TRACE("FinalizeNormalizer");
+    ExpectOnlyCompleteStatesFinalize(
+        EachShard<core::PartialNormalizer>(
+            data, 3,
+            [&](data::DataScan& scan, const ShardInfo& info) {
+              return sampler.NormalizerPartial(scan, *kde, info);
+            }),
+        [&](const core::PartialNormalizer& state) {
+          return sampler.FinalizeNormalizer(state).status();
+        });
+  }
+  {
+    SCOPED_TRACE("FinalizeSample");
+    ExpectOnlyCompleteStatesFinalize(
+        EachShard<core::PartialSample>(
+            data, 3,
+            [&](data::DataScan& scan, const ShardInfo& info) {
+              return sampler.SamplePartial(scan, *kde, 1e6, info);
+            }),
+        [&](core::PartialSample state) {
+          return sampler.FinalizeSample(std::move(state), 1e6).status();
+        });
+  }
+
+  const outlier::DbOutlierParams params;
+  {
+    SCOPED_TRACE("FinalizeOutlierCandidates");
+    ExpectOnlyCompleteStatesFinalize(
+        EachShard<outlier::PartialOutlierCandidates>(
+            data, 3,
+            [&](data::DataScan& scan, const ShardInfo& info) {
+              return outlier::ScoreOutlierCandidatesPartial(
+                  scan, *kde, params, outlier::KdeDetectorOptions{}, info);
+            }),
+        [](outlier::PartialOutlierCandidates state) {
+          return outlier::FinalizeOutlierCandidates(std::move(state))
+              .status();
+        });
+  }
+  {
+    SCOPED_TRACE("FinalizeOutlierReport");
+    outlier::OutlierCandidates candidates;
+    candidates.points = data::PointSet(kDim);
+    for (int64_t row : {0, 1, 2}) {
+      candidates.points.Append(data[row]);
+      candidates.rows.push_back(row);
+    }
+    ExpectOnlyCompleteStatesFinalize(
+        EachShard<outlier::PartialNeighborCounts>(
+            data, 3,
+            [&](data::DataScan& scan, const ShardInfo& info) {
+              return outlier::CountCandidateNeighborsPartial(
+                  scan, candidates, params, info);
+            }),
+        [&](const outlier::PartialNeighborCounts& state) {
+          return outlier::FinalizeOutlierReport(candidates, state, params)
+              .status();
+        });
+  }
 }
 
 TEST(ShardMergePropertyTest, MergedModelRoundTripsThroughStateAndDisk) {

@@ -162,5 +162,24 @@ TEST(GeneratorSeparationTest, MinSeparationIsHonored) {
   }
 }
 
+// Both generators turn noise_multiplier into a point count through
+// NoiseCount: a NaN, infinite or negative multiplier, or a count too large
+// for int64, is InvalidArgument instead of a wrapped or garbage count.
+TEST(NoiseOptionTest, NonFiniteOrOverflowingNoiseIsRejected) {
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, 1e308}) {
+    SCOPED_TRACE(bad);
+    ClusteredDatasetOptions clustered;
+    clustered.noise_multiplier = bad;
+    EXPECT_EQ(MakeClusteredDataset(clustered).status().code(),
+              StatusCode::kInvalidArgument);
+    CureDatasetOptions cure;
+    cure.num_points = 1000;
+    cure.noise_multiplier = bad;
+    EXPECT_EQ(MakeCureDataset1(cure).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(NoiseCount(0.25, 1000).value(), 250);
+}
+
 }  // namespace
 }  // namespace dbs::synth

@@ -86,6 +86,18 @@ TEST(GeneratorTest, RejectsBadOptions) {
   ClusteredDatasetOptions bad_noise;
   bad_noise.noise_multiplier = -1;
   EXPECT_FALSE(MakeClusteredDataset(bad_noise).ok());
+  for (double value : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(value);
+    ClusteredDatasetOptions ratio;
+    ratio.size_ratio = value;
+    EXPECT_FALSE(MakeClusteredDataset(ratio).ok());
+    ClusteredDatasetOptions extent;
+    extent.min_extent = value;
+    EXPECT_FALSE(MakeClusteredDataset(extent).ok());
+    ClusteredDatasetOptions separation;
+    separation.min_separation = value;
+    EXPECT_FALSE(MakeClusteredDataset(separation).ok());
+  }
 }
 
 TEST(GeneratorTest, PointsMatchLabelsAndRegions) {

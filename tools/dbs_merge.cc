@@ -33,6 +33,7 @@
 #include "serve/client.h"
 #include "shard/coordinator.h"
 #include "tools/flags.h"
+#include "util/shard.h"
 
 namespace {
 
@@ -56,26 +57,6 @@ bool ParsePorts(const std::string& spec, std::vector<uint16_t>* ports) {
     begin = end + 1;
   }
   return !ports->empty();
-}
-
-// Pairwise tree reduction of the collected shard states; the merge is a
-// sorted disjoint union, so the pairing cannot affect the result — the tree
-// shape only bounds the reduction depth.
-[[nodiscard]] dbs::Result<dbs::density::PartialKde> TreeReduce(
-    std::vector<dbs::density::PartialKde> parts) {
-  while (parts.size() > 1) {
-    std::vector<dbs::density::PartialKde> next;
-    next.reserve((parts.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < parts.size(); i += 2) {
-      auto merged = dbs::density::MergePartialKde(std::move(parts[i]),
-                                                  std::move(parts[i + 1]));
-      if (!merged.ok()) return merged.status();
-      next.push_back(std::move(*merged));
-    }
-    if (parts.size() % 2 == 1) next.push_back(std::move(parts.back()));
-    parts = std::move(next);
-  }
-  return std::move(parts.front());
 }
 
 // Bitwise model equality via the serialization snapshot.
@@ -206,7 +187,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    auto merged = TreeReduce(std::move(parts));
+    auto merged =
+        dbs::TreeReduce(std::move(parts), dbs::density::MergePartialKde);
     if (!merged.ok()) {
       std::fprintf(stderr, "merge failed: %s\n",
                    merged.status().ToString().c_str());

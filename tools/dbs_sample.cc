@@ -208,11 +208,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
     return 1;
   }
+  // Uniform sampling ignores a= and is the a = 0 case of the biased sampler.
   std::printf(
       "out: %s (%lld points) mode=%s a=%.3g passes=%d\n"
       "normalizer=%.6g clamped=%lld estimated-input-size=%.0f\n",
       out.c_str(), static_cast<long long>(sampled_points.size()),
-      mode.c_str(), a, scan_passes, normalizer,
+      mode.c_str(), mode == "uniform" ? 0.0 : a, scan_passes, normalizer,
       static_cast<long long>(clamped) * 1LL, estimated_n);
   return 0;
 }
